@@ -16,13 +16,20 @@ void
 PerfReport::addComparison(const std::string &name, double naive_ms,
                           double optimized_ms)
 {
-    entries_.push_back({name, naive_ms, optimized_ms});
+    entries_.push_back({name, naive_ms, optimized_ms, std::nullopt});
 }
 
 void
 PerfReport::addTiming(const std::string &name, double ms)
 {
-    entries_.push_back({name, -1.0, ms});
+    entries_.push_back({name, -1.0, ms, std::nullopt});
+}
+
+void
+PerfReport::addCounter(const std::string &name, double value,
+                       CounterUnit unit)
+{
+    entries_.push_back({name, -1.0, value, unit});
 }
 
 double
@@ -50,7 +57,13 @@ PerfReport::toJson() const
     for (std::size_t i = 0; i < entries_.size(); ++i) {
         const Entry &e = entries_[i];
         out << "    {\"name\": \"" << e.name << "\"";
-        if (e.naiveMs >= 0.0) {
+        if (e.unit == CounterUnit::Count) {
+            out << ", \"value\": " << static_cast<long long>(e.optimizedMs)
+                << ", \"unit\": \"count\"";
+        } else if (e.unit == CounterUnit::Pct) {
+            out << ", \"value\": " << e.optimizedMs
+                << ", \"unit\": \"pct\"";
+        } else if (e.naiveMs >= 0.0) {
             out << ", \"naive_ms\": " << e.naiveMs
                 << ", \"optimized_ms\": " << e.optimizedMs
                 << ", \"speedup\": "

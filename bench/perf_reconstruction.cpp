@@ -615,10 +615,12 @@ main(int argc, char **argv)
             const double high_p95 = overload_stats.latencyPercentileMs(
                 core::Priority::High, 0.95);
             report.addTiming("service/overload_high_p95_ms", high_p95);
-            report.addTiming("service/overload_shed_total",
-                             static_cast<double>(overload_stats.shed));
-            report.addTiming("service/overload_shed_low",
-                             static_cast<double>(low_shed));
+            report.addCounter("service/overload_shed_total",
+                              static_cast<double>(overload_stats.shed),
+                              bench::PerfReport::CounterUnit::Count);
+            report.addCounter("service/overload_shed_low",
+                              static_cast<double>(low_shed),
+                              bench::PerfReport::CounterUnit::Count);
             report.addTiming("service/overload_retry_hint_max_ms",
                              hint_max);
             std::cerr << "  [perf] service/overload: offered "
@@ -753,10 +755,12 @@ main(int argc, char **argv)
                              opt_ms);
         report.addTiming("service/parametric_compile_once_ms",
                          compile_once_ms);
-        report.addTiming("service/parametric_transpile_hit_pct",
-                         transpile_hit_pct);
-        report.addTiming("service/parametric_prefix_hit_pct",
-                         prefix_hit_pct);
+        report.addCounter("service/parametric_transpile_hit_pct",
+                          transpile_hit_pct,
+                          bench::PerfReport::CounterUnit::Pct);
+        report.addCounter("service/parametric_prefix_hit_pct",
+                          prefix_hit_pct,
+                          bench::PerfReport::CounterUnit::Pct);
         std::cerr << "  [perf] service/parametric_iterations: "
                   << naive_ms << " ms -> " << opt_ms << " ms ("
                   << iterations << " iterations, " << w
@@ -868,7 +872,8 @@ main(int argc, char **argv)
     // report from.
     for (const obs::ProcessCounters::Entry &entry :
          obs::ProcessCounters::snapshot().simdEntries()) {
-        report.addTiming(entry.name, static_cast<double>(entry.value));
+        report.addCounter(entry.name, static_cast<double>(entry.value),
+                          bench::PerfReport::CounterUnit::Count);
     }
 
     if (!report.write(out_path)) {

@@ -141,34 +141,29 @@ writeSuiteTimings(const SuiteRun &run, const std::string &path)
     report.addTiming("suite/total", run.totalMs);
     // Counters, not milliseconds: cache and batch effectiveness of the
     // sweep (see docs/performance.md).
-    report.addTiming("suite/executor_cache_hits",
-                     static_cast<double>(run.executorCacheHits));
-    report.addTiming("suite/executor_cache_misses",
-                     static_cast<double>(run.executorCacheMisses));
-    report.addTiming("suite/batch_evolutions",
-                     static_cast<double>(run.batchEvolutions));
-    report.addTiming("suite/batch_marginals_served",
-                     static_cast<double>(run.marginalsServed));
-    report.addTiming("suite/batch_evolutions_saved",
-                     static_cast<double>(run.evolutionsSaved));
+    const auto count = [&report](const std::string &name,
+                                 std::uint64_t value) {
+        report.addCounter(name, static_cast<double>(value),
+                          PerfReport::CounterUnit::Count);
+    };
+    count("suite/executor_cache_hits", run.executorCacheHits);
+    count("suite/executor_cache_misses", run.executorCacheMisses);
+    count("suite/batch_evolutions", run.batchEvolutions);
+    count("suite/batch_marginals_served", run.marginalsServed);
+    count("suite/batch_evolutions_saved", run.evolutionsSaved);
     // Process-wide counters (the transpile memo and the SIMD
     // kernel-dispatch totals) come from the shared ProcessCounters
     // snapshot, so these entries, the Prometheus exposition, and the
     // perf bench's dispatch-mix table can never disagree on a name or
     // a source.
     for (const obs::ProcessCounters::Entry &entry :
-         run.counters.transpileEntries()) {
-        report.addTiming(std::string("suite/") + entry.name,
-                         static_cast<double>(entry.value));
-    }
-    report.addTiming("suite/prefix_state_hits",
-                     static_cast<double>(run.prefixStateHits));
-    report.addTiming("suite/prefix_state_misses",
-                     static_cast<double>(run.prefixStateMisses));
+         run.counters.transpileEntries())
+        count(std::string("suite/") + entry.name, entry.value);
+    count("suite/prefix_state_hits", run.prefixStateHits);
+    count("suite/prefix_state_misses", run.prefixStateMisses);
     for (const obs::ProcessCounters::Entry &entry :
-         run.counters.simdEntries()) {
-        report.addTiming(entry.name, static_cast<double>(entry.value));
-    }
+         run.counters.simdEntries())
+        count(entry.name, entry.value);
     return report.write(path);
 }
 

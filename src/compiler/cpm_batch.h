@@ -12,12 +12,16 @@
  * pairs over and over: the distance-only placement family is even
  * measurement-independent, so its layouts repeat across every subset.
  *
- * CpmRecompiler exploits this: it routes the measureless prefix once
- * per distinct initial layout (memoized), computes the gate-success
- * probability once per routing, and per subset only re-emits the
- * measurement gates and recomputes the (cheap) readout success. The
- * selected CompiledCircuit is identical to what transpile() would
- * return for the CPM circuit with the same options.
+ * CpmRecompiler exploits this: it places the program once per
+ * (program, device) through one Placer, computes the 12 distance-only
+ * layouts once, routes the measureless prefix once per distinct
+ * initial layout (memoized) and computes the gate-success probability
+ * once per routing. Per subset it only runs the noise-aware placement
+ * and scores every candidate from the routed prefix's gate success and
+ * the readout success of the subset's final physical qubits; only the
+ * selected candidate's circuit is materialized. The selected
+ * CompiledCircuit is identical to what transpile() would return for
+ * the CPM circuit with the same options.
  */
 #ifndef JIGSAW_COMPILER_CPM_BATCH_H
 #define JIGSAW_COMPILER_CPM_BATCH_H
@@ -27,6 +31,7 @@
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "compiler/placement.h"
 #include "compiler/transpiler.h"
 #include "device/device_model.h"
 
@@ -64,13 +69,16 @@ class CpmRecompiler
     /** SABRE routings actually computed (distinct initial layouts). */
     std::uint64_t routingsComputed() const { return routingsComputed_; }
 
-    /** Placement candidates served from the routing memo. */
+    /** Placement candidates served from the routing memo. Every
+     *  evaluated candidate counts once: computed + reused is the
+     *  number of candidates scored. */
     std::uint64_t routingsReused() const { return routingsReused_; }
 
   private:
     /** One routed prefix: everything measurement-independent. */
     struct RoutedPrefix
     {
+        Layout initialLayout;             ///< Placement it was routed from.
         circuit::QuantumCircuit physical; ///< Routed gates, no measures.
         Layout finalLayout;               ///< Layout after the last gate.
         int swapCount;                    ///< SWAPs inserted by routing.
@@ -78,14 +86,14 @@ class CpmRecompiler
     };
 
     const RoutedPrefix &routedFor(const Layout &initial);
-    CompiledCircuit finishCandidate(const Layout &initial,
-                                    const std::vector<int> &logical_qubits);
 
-    circuit::QuantumCircuit logical_;       ///< Fully measured program.
     circuit::QuantumCircuit logicalPrefix_; ///< Measures stripped.
     device::DeviceModel dev_;
     TranspileOptions options_;
+    Placer placer_;
     std::vector<int> starts_; ///< Placement seeds (already truncated).
+    /** Distance-only layout per start: measurement-independent. */
+    std::vector<Layout> tight_;
     std::map<std::vector<int>, RoutedPrefix> routedByLayout_;
     std::uint64_t routingsComputed_ = 0;
     std::uint64_t routingsReused_ = 0;

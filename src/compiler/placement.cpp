@@ -60,44 +60,60 @@ rankedStartQubits(const device::DeviceModel &dev, bool noise_aware)
     return order;
 }
 
-Layout
-greedyPlacement(const circuit::QuantumCircuit &logical,
-                const device::DeviceModel &dev, int start_physical,
-                bool noise_aware)
+std::vector<bool>
+measuredMask(const circuit::QuantumCircuit &qc)
+{
+    std::vector<bool> measured(static_cast<std::size_t>(qc.nQubits()),
+                               false);
+    for (const circuit::Gate &g : qc.gates()) {
+        if (g.isMeasure())
+            measured[static_cast<std::size_t>(g.qubits[0])] = true;
+    }
+    return measured;
+}
+
+Placer::Placer(const circuit::QuantumCircuit &logical,
+               const device::DeviceModel &dev)
+    : nPhysical_(dev.nQubits())
 {
     const device::Topology &topo = dev.topology();
     const int n_logical = logical.nQubits();
-    fatalIf(n_logical > topo.nQubits(),
+    fatalIf(n_logical > nPhysical_,
             "greedyPlacement: program larger than device");
 
-    // Interaction weights and the set of measured logical qubits.
+    // Interaction weights; partners are kept in ascending order so the
+    // distance terms accumulate in the same order as a scan over all
+    // logical qubits would.
     std::vector<std::vector<double>> weight(
         static_cast<std::size_t>(n_logical),
         std::vector<double>(static_cast<std::size_t>(n_logical), 0.0));
-    std::vector<bool> is_measured(static_cast<std::size_t>(n_logical),
-                                  false);
     for (const circuit::Gate &g : logical.gates()) {
         if (g.isTwoQubit()) {
             weight[static_cast<std::size_t>(g.qubits[0])]
                   [static_cast<std::size_t>(g.qubits[1])] += 1.0;
             weight[static_cast<std::size_t>(g.qubits[1])]
                   [static_cast<std::size_t>(g.qubits[0])] += 1.0;
-        } else if (g.isMeasure()) {
-            is_measured[static_cast<std::size_t>(g.qubits[0])] = true;
+        }
+    }
+    partners_.resize(static_cast<std::size_t>(n_logical));
+    std::vector<double> total_weight(static_cast<std::size_t>(n_logical),
+                                     0.0);
+    for (int l = 0; l < n_logical; ++l) {
+        const auto &row = weight[static_cast<std::size_t>(l)];
+        total_weight[static_cast<std::size_t>(l)] =
+            std::accumulate(row.begin(), row.end(), 0.0);
+        for (int m = 0; m < n_logical; ++m) {
+            if (row[static_cast<std::size_t>(m)] > 0.0) {
+                partners_[static_cast<std::size_t>(l)].push_back(
+                    {m, row[static_cast<std::size_t>(m)]});
+            }
         }
     }
 
     // Place logical qubits in order of total interaction weight.
-    std::vector<int> logical_order(static_cast<std::size_t>(n_logical));
-    std::iota(logical_order.begin(), logical_order.end(), 0);
-    std::vector<double> total_weight(static_cast<std::size_t>(n_logical),
-                                     0.0);
-    for (int l = 0; l < n_logical; ++l) {
-        total_weight[static_cast<std::size_t>(l)] = std::accumulate(
-            weight[static_cast<std::size_t>(l)].begin(),
-            weight[static_cast<std::size_t>(l)].end(), 0.0);
-    }
-    std::sort(logical_order.begin(), logical_order.end(),
+    order_.resize(static_cast<std::size_t>(n_logical));
+    std::iota(order_.begin(), order_.end(), 0);
+    std::sort(order_.begin(), order_.end(),
               [&total_weight](int a, int b) {
                   const double wa = total_weight[static_cast<std::size_t>(a)];
                   const double wb = total_weight[static_cast<std::size_t>(b)];
@@ -106,60 +122,80 @@ greedyPlacement(const circuit::QuantumCircuit &logical,
                   return a < b;
               });
 
-    std::vector<int> physical_of(static_cast<std::size_t>(n_logical), -1);
-    std::vector<bool> used(static_cast<std::size_t>(topo.nQubits()), false);
-
-    auto qubit_cost = [&](int l, int p) {
-        double c = 0.0;
-        if (noise_aware) {
-            c += errorToHops * incidentEdgeError(dev, p);
-            if (is_measured[static_cast<std::size_t>(l)]) {
-                c += errorToHops *
-                     dev.calibration().qubit(p).meanReadoutError();
-            }
+    edgeCost_.resize(static_cast<std::size_t>(nPhysical_));
+    readoutCost_.resize(static_cast<std::size_t>(nPhysical_));
+    distance_.resize(static_cast<std::size_t>(nPhysical_) *
+                     static_cast<std::size_t>(nPhysical_));
+    for (int p = 0; p < nPhysical_; ++p) {
+        edgeCost_[static_cast<std::size_t>(p)] =
+            errorToHops * incidentEdgeError(dev, p);
+        readoutCost_[static_cast<std::size_t>(p)] =
+            errorToHops * dev.calibration().qubit(p).meanReadoutError();
+        for (int q = 0; q < nPhysical_; ++q) {
+            distance_[static_cast<std::size_t>(p * nPhysical_ + q)] =
+                topo.distance(p, q);
         }
-        return c;
-    };
+    }
+}
+
+Layout
+Placer::place(int start_physical, bool noise_aware,
+              const std::vector<bool> &measured) const
+{
+    const int n_logical = nLogical();
+    fatalIf(static_cast<int>(measured.size()) != n_logical,
+            "greedyPlacement: measurement mask size mismatch");
+    fatalIf(start_physical < 0 || start_physical >= nPhysical_,
+            "greedyPlacement: invalid start qubit");
+
+    std::vector<int> physical_of(static_cast<std::size_t>(n_logical), -1);
+    std::vector<bool> used(static_cast<std::size_t>(nPhysical_), false);
 
     bool first = true;
-    for (int l : logical_order) {
+    for (int l : order_) {
         if (first) {
-            fatalIf(start_physical < 0 ||
-                    start_physical >= topo.nQubits(),
-                    "greedyPlacement: invalid start qubit");
             physical_of[static_cast<std::size_t>(l)] = start_physical;
             used[static_cast<std::size_t>(start_physical)] = true;
             first = false;
             continue;
         }
+        const bool count_readout =
+            noise_aware && measured[static_cast<std::size_t>(l)];
+        const auto &partners = partners_[static_cast<std::size_t>(l)];
         double best_cost = std::numeric_limits<double>::infinity();
         int best_p = -1;
-        for (int p = 0; p < topo.nQubits(); ++p) {
+        for (int p = 0; p < nPhysical_; ++p) {
             if (used[static_cast<std::size_t>(p)])
                 continue;
-            double c = qubit_cost(l, p);
+            double base = 0.0;
+            if (noise_aware) {
+                base += edgeCost_[static_cast<std::size_t>(p)];
+                if (count_readout)
+                    base += readoutCost_[static_cast<std::size_t>(p)];
+            }
+            const int *dist =
+                distance_.data() + static_cast<std::size_t>(p) *
+                                       static_cast<std::size_t>(nPhysical_);
+            double c = base;
             bool reachable = true;
-            for (int m = 0; m < n_logical; ++m) {
-                const double w = weight[static_cast<std::size_t>(l)]
-                                       [static_cast<std::size_t>(m)];
-                const int pm = physical_of[static_cast<std::size_t>(m)];
-                if (w <= 0.0 || pm < 0)
+            for (const Partner &partner : partners) {
+                const int pm =
+                    physical_of[static_cast<std::size_t>(partner.logical)];
+                if (pm < 0)
                     continue;
-                const int d = topo.distance(p, pm);
+                const int d = dist[pm];
                 if (d < 0) {
                     reachable = false;
                     break;
                 }
-                c += w * static_cast<double>(d - 1);
+                c += partner.weight * static_cast<double>(d - 1);
             }
             if (!reachable)
                 continue;
             // Anchor isolated qubits near the start to keep the
             // program in one region of the device.
-            if (c == qubit_cost(l, p)) {
-                c += 0.01 * static_cast<double>(
-                                topo.distance(p, start_physical));
-            }
+            if (c == base)
+                c += 0.01 * static_cast<double>(dist[start_physical]);
             if (c < best_cost) {
                 best_cost = c;
                 best_p = p;
@@ -170,7 +206,16 @@ greedyPlacement(const circuit::QuantumCircuit &logical,
         used[static_cast<std::size_t>(best_p)] = true;
     }
 
-    return Layout(std::move(physical_of), topo.nQubits());
+    return Layout(std::move(physical_of), nPhysical_);
+}
+
+Layout
+greedyPlacement(const circuit::QuantumCircuit &logical,
+                const device::DeviceModel &dev, int start_physical,
+                bool noise_aware)
+{
+    return Placer(logical, dev)
+        .place(start_physical, noise_aware, measuredMask(logical));
 }
 
 } // namespace compiler

@@ -44,6 +44,8 @@ compileCandidates(const circuit::QuantumCircuit &logical,
                       static_cast<int>(starts.size()));
     fatalIf(n_candidates < 1, "transpile: need at least one candidate");
 
+    const Placer placer(logical, dev);
+    const std::vector<bool> measured = measuredMask(logical);
     std::vector<CompiledCircuit> candidates;
     candidates.reserve(static_cast<std::size_t>(2 * n_candidates));
     for (int i = 0; i < n_candidates; ++i) {
@@ -53,13 +55,12 @@ compileCandidates(const circuit::QuantumCircuit &logical,
         // the routing tight; with spatially scattered good qubits
         // either one can win, so the selector sees both.
         const Layout aware =
-            greedyPlacement(logical, dev, start, options.noiseAware);
+            placer.place(start, options.noiseAware, measured);
         candidates.push_back(finishCandidate(
             sabreRoute(logical, dev.topology(), aware, options.sabre),
             dev));
         if (options.noiseAware) {
-            const Layout tight =
-                greedyPlacement(logical, dev, start, false);
+            const Layout tight = placer.place(start, false, measured);
             if (tight.logicalToPhysical() !=
                 aware.logicalToPhysical()) {
                 candidates.push_back(finishCandidate(
@@ -301,15 +302,13 @@ clearTranspileCache()
     transpileCache.clear();
 }
 
-CompiledCircuit
-transpile(const circuit::QuantumCircuit &logical,
-          const device::DeviceModel &dev, const TranspileOptions &options)
+std::size_t
+selectCandidate(const std::vector<CandidateScore> &scores,
+                const TranspileOptions &options)
 {
-    std::vector<CompiledCircuit> candidates =
-        compileCandidates(logical, dev, options);
-
-    auto better = [&options](const CompiledCircuit &a,
-                             const CompiledCircuit &b) {
+    fatalIf(scores.empty(), "selectCandidate: no candidates");
+    auto better = [&options](const CandidateScore &a,
+                             const CandidateScore &b) {
         if (options.noiseAware)
             return a.eps > b.eps;
         if (a.swapCount != b.swapCount)
@@ -322,22 +321,35 @@ transpile(const circuit::QuantumCircuit &logical,
     // best EPS wins, which for a CPM is dominated by where its few
     // measurements land; fall back to best-overall EPS when no
     // candidate fits the budget.
-    const CompiledCircuit *best = nullptr;
+    std::optional<std::size_t> best;
     if (options.maxSwaps) {
-        for (const CompiledCircuit &c : candidates) {
-            if (c.swapCount <= *options.maxSwaps &&
-                (!best || better(c, *best))) {
-                best = &c;
+        for (std::size_t i = 0; i < scores.size(); ++i) {
+            if (scores[i].swapCount <= *options.maxSwaps &&
+                (!best || better(scores[i], scores[*best]))) {
+                best = i;
             }
         }
     }
     if (!best) {
-        for (const CompiledCircuit &c : candidates) {
-            if (!best || better(c, *best))
-                best = &c;
+        for (std::size_t i = 0; i < scores.size(); ++i) {
+            if (!best || better(scores[i], scores[*best]))
+                best = i;
         }
     }
     return *best;
+}
+
+CompiledCircuit
+transpile(const circuit::QuantumCircuit &logical,
+          const device::DeviceModel &dev, const TranspileOptions &options)
+{
+    std::vector<CompiledCircuit> candidates =
+        compileCandidates(logical, dev, options);
+    std::vector<CandidateScore> scores;
+    scores.reserve(candidates.size());
+    for (const CompiledCircuit &c : candidates)
+        scores.push_back({c.swapCount, c.eps});
+    return std::move(candidates[selectCandidate(scores, options)]);
 }
 
 std::vector<CompiledCircuit>

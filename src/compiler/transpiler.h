@@ -12,6 +12,7 @@
 #ifndef JIGSAW_COMPILER_TRANSPILER_H
 #define JIGSAW_COMPILER_TRANSPILER_H
 
+#include <cstddef>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -46,6 +47,23 @@ struct TranspileOptions
     std::optional<int> maxSwaps;
     SabreOptions sabre;         ///< Routing parameters.
 };
+
+/** What candidate selection reads of one placement candidate. */
+struct CandidateScore
+{
+    int swapCount; ///< SWAPs inserted by routing.
+    double eps;    ///< Full EPS (gates x readout).
+};
+
+/**
+ * Index of the candidate transpile() keeps. Noise-aware selection
+ * takes the best EPS, distance-only selection the fewest SWAPs (EPS
+ * breaks ties). With options.maxSwaps set (the CPM recompilation rule
+ * of Section 4.2.2) only candidates within the SWAP budget compete,
+ * unless none fits. Ties keep the earliest candidate.
+ */
+std::size_t selectCandidate(const std::vector<CandidateScore> &scores,
+                            const TranspileOptions &options);
 
 /** Compile @p logical for @p dev, returning the best candidate. */
 CompiledCircuit transpile(const circuit::QuantumCircuit &logical,

@@ -74,7 +74,7 @@ cpmFromGlobal(const compiler::CompiledCircuit &global,
     };
     cpm.gateSuccess = global.gateSuccess;
     cpm.measurementSuccess =
-        sim::measurementSuccessProbability(cpm.physical, dev);
+        sim::measurementSuccessProbability(physical_qubits, dev);
     cpm.eps = cpm.gateSuccess * cpm.measurementSuccess;
     return cpm;
 }

@@ -621,6 +621,22 @@ void
 StreamingScheduler::drain()
 {
     std::unique_lock<std::mutex> lock(mutex_);
+    // An admitted job still queued or preparing joins the first open
+    // window with its key once its stages finish; closing that window
+    // early would split jobs that submission order put together.
+    const auto awaits_joiner = [this](const auto &window) {
+        if (window.exclusive ||
+            window.jobIds.size() >= options_.windowMaxJobs)
+            return false;
+        for (const auto &[id, job] : jobs_) {
+            if ((job->state == JobState::Queued ||
+                 job->state == JobState::Preparing) &&
+                job->mergeEligible && !job->quarantined &&
+                job->windowKey == window.key)
+                return true;
+        }
+        return false;
+    };
     while (liveJobs_ > 0) {
         // Close open windows now instead of waiting out windowMs —
         // re-checked every pass, because a job that was still queued
@@ -628,7 +644,8 @@ StreamingScheduler::drain()
         const auto now = Clock::now();
         bool closed_any = false;
         for (auto &[id, window] : windows_) {
-            if (!window->closed && window->deadline > now) {
+            if (!window->closed && window->deadline > now &&
+                !awaits_joiner(*window)) {
                 window->deadline = now;
                 closed_any = true;
             }
@@ -1767,8 +1784,37 @@ StreamingScheduler::dispatcherLoop()
         }
         if (const auto lease_event = nextLeaseEventLocked(now))
             consider(*lease_event);
-        if (!admission_.empty() || !scheduleReady_.empty())
+        if (!scheduleReady_.empty())
             continue; // new work arrived while dispatching
+        if (!admission_.empty()) {
+            // Admission held back by the prepare gate moves again when
+            // a prepare finishes (onPrepared notifies) or when one of
+            // its jobs ages into the gate-bypassing High class — a
+            // timed event like any other, so wait for it instead of
+            // spinning with the lock held (which would block submit()
+            // and onPrepared until the promotion).
+            bool admissible = preparing_ < inFlightCap() + 1;
+            for (const std::uint64_t id : admission_) {
+                const Job &job = *jobs_.at(id);
+                const std::size_t cls = static_cast<std::size_t>(job.priority);
+                if (effectiveClass(job.priority,
+                                   msBetweenImpl(job.submitAt, now),
+                                   options_.agingMs) == 0) {
+                    admissible = true;
+                } else if (options_.agingMs > 0.0) {
+                    // One microsecond of slack keeps the millisecond
+                    // round trip from waking just short of promotion.
+                    consider(job.submitAt +
+                             std::chrono::ceil<Clock::duration>(
+                                 std::chrono::duration<double, std::milli>(
+                                     static_cast<double>(cls) *
+                                     options_.agingMs)) +
+                             std::chrono::microseconds(1));
+                }
+            }
+            if (admissible)
+                continue; // the gate reopened or a job aged into High
+        }
         if (detail::sharedPool().workerCount() == 0 &&
             (inFlight_ > 0 || preparing_ > 0)) {
             dispatcherCv_.wait_for(lock, std::chrono::milliseconds(1));

@@ -198,7 +198,8 @@ class StreamingScheduler
     /**
      * Block until every job submitted so far is terminal. Open merge
      * windows are closed immediately rather than waiting out
-     * windowMs.
+     * windowMs — each once no queued or preparing job could still
+     * join it, so drain() never splits a window's membership.
      */
     void drain();
 

@@ -10,6 +10,8 @@
 #ifndef JIGSAW_SIM_EPS_H
 #define JIGSAW_SIM_EPS_H
 
+#include <vector>
+
 #include "circuit/circuit.h"
 #include "device/device_model.h"
 
@@ -26,9 +28,18 @@ double gateSuccessProbability(const circuit::QuantumCircuit &qc,
                               const device::DeviceModel &dev);
 
 /**
- * Product of (1 - effective readout error) over all measurements of
- * @p qc, using the state-averaged rate and including measurement
- * crosstalk for the number of simultaneous measurements in @p qc.
+ * Product of (1 - effective readout error) over measurements of
+ * @p physical_qubits (in order), using the state-averaged rate and
+ * including measurement crosstalk for physical_qubits.size()
+ * simultaneous measurements. Lets a caller score a measurement set
+ * without building the circuit that carries it.
+ */
+double measurementSuccessProbability(const std::vector<int> &physical_qubits,
+                                     const device::DeviceModel &dev);
+
+/**
+ * measurementSuccessProbability() over the measurements of @p qc, in
+ * gate order.
  */
 double measurementSuccessProbability(const circuit::QuantumCircuit &qc,
                                      const device::DeviceModel &dev);

@@ -10,12 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
 #include "compiler/placement.h"
 #include "compiler/sabre.h"
 #include "compiler/transpiler.h"
+#include "core/subsets.h"
 #include "device/library.h"
 #include "sim/eps.h"
 #include "sim/simulators.h"
+#include "workloads/registry.h"
 
 namespace jigsaw {
 namespace compiler {
@@ -216,6 +219,97 @@ TEST(Placement, ChainNeighborsPlacedNearby)
                                           layout.physicalOf(q + 1)),
                   2);
     }
+}
+
+TEST(Placement, GoldenLayoutsAcrossThePaperSweep)
+{
+    // One FNV hash over every layout the Figure-8 sweep can ask for:
+    // the three evaluation devices x the nine paper benchmarks, the 12
+    // ranked starts of both rankings, both placement families, and the
+    // global mask plus every JigSaw / JigSaw-M (sliding window, sizes
+    // 2..5) CPM mask. The constant was computed with the original
+    // per-call greedyPlacement implementation, so any change to the
+    // placement arithmetic or its order shows up here.
+    constexpr std::uint64_t kGoldenHash = 0x4a8900cde2edaabeULL;
+    constexpr std::size_t kGoldenLayouts = 45036;
+
+    // Building the suite optimizes the QAOA angles; do it once.
+    std::vector<QuantumCircuit> programs;
+    for (const auto &workload : workloads::paperBenchmarks())
+        programs.push_back(workload->circuit());
+
+    std::uint64_t h = kFnvOffsetBasis;
+    std::size_t n_layouts = 0;
+    for (const DeviceModel &dev : device::evaluationDevices()) {
+        for (const QuantumCircuit &logical : programs) {
+            const Placer placer(logical, dev);
+            const std::vector<int> qubit_of_clbit =
+                logical.measuredQubits();
+            std::vector<std::vector<bool>> masks{measuredMask(logical)};
+            for (int size : {2, 3, 4, 5}) {
+                for (const core::Subset &subset : core::slidingWindowSubsets(
+                         logical.countMeasurements(), size)) {
+                    std::vector<bool> mask(
+                        static_cast<std::size_t>(logical.nQubits()), false);
+                    for (int c : subset) {
+                        mask[static_cast<std::size_t>(
+                            qubit_of_clbit[static_cast<std::size_t>(c)])] =
+                            true;
+                    }
+                    masks.push_back(std::move(mask));
+                }
+            }
+            for (bool ranked_aware : {true, false}) {
+                std::vector<int> starts =
+                    rankedStartQubits(dev, ranked_aware);
+                starts.resize(12);
+                for (int start : starts) {
+                    fnvMixWord(h, static_cast<std::uint64_t>(start));
+                    for (bool family : {true, false}) {
+                        if (family && !ranked_aware)
+                            continue;
+                        for (const std::vector<bool> &mask : masks) {
+                            const Layout layout =
+                                placer.place(start, family, mask);
+                            for (int p : layout.logicalToPhysical()) {
+                                fnvMixWord(h,
+                                           static_cast<std::uint64_t>(p));
+                            }
+                            ++n_layouts;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(n_layouts, kGoldenLayouts);
+    EXPECT_EQ(h, kGoldenHash);
+}
+
+TEST(Placement, WrapperMatchesPlacer)
+{
+    // greedyPlacement is a one-shot Placer with the circuit's own
+    // measurements as the mask.
+    const DeviceModel dev = device::toronto();
+    QuantumCircuit qc(6, 2);
+    for (int q = 0; q + 1 < 6; ++q)
+        qc.cx(q, q + 1);
+    qc.measure(1, 0);
+    qc.measure(4, 1);
+    const Placer placer(qc, dev);
+    const std::vector<bool> mask = measuredMask(qc);
+    EXPECT_EQ(mask, (std::vector<bool>{false, true, false, false, true,
+                                       false}));
+    for (int start : rankedStartQubits(dev, true)) {
+        for (bool aware : {true, false}) {
+            EXPECT_EQ(greedyPlacement(qc, dev, start, aware)
+                          .logicalToPhysical(),
+                      placer.place(start, aware, mask).logicalToPhysical());
+        }
+    }
+    EXPECT_THROW(placer.place(0, true, std::vector<bool>(5, false)),
+                 std::invalid_argument);
+    EXPECT_THROW(placer.place(27, true, mask), std::invalid_argument);
 }
 
 TEST(Placement, RejectsOversizedProgram)

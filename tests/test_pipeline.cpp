@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "compiler/cpm_batch.h"
+#include "compiler/placement.h"
 #include "compiler/transpiler.h"
 #include "core/jigsaw.h"
 #include "core/pipeline.h"
@@ -490,47 +491,89 @@ TEST(Pipeline, FromGlobalCpmsReuseTheGlobalGateSuccess)
 
 TEST(CpmRecompiler, MatchesFullTranspilePerSubset)
 {
-    const device::DeviceModel dev = device::toronto();
-    for (const circuit::QuantumCircuit &logical :
-         {workloads::Ghz(6).circuit(),
-          workloads::BernsteinVazirani(6).circuit()}) {
-        const compiler::CompiledCircuit global =
-            compiler::transpile(logical, dev);
-        compiler::TranspileOptions cpm_options;
-        cpm_options.maxSwaps = global.swapCount;
+    // Every JigSaw-M subset size, a 27- and a 65-qubit device, and both
+    // placement modes: the batched recompiler must select exactly what
+    // a full transpile() of each CPM circuit selects.
+    for (const device::DeviceModel &dev :
+         {device::toronto(), device::manhattan()}) {
+        for (bool noise_aware : {true, false}) {
+            for (const circuit::QuantumCircuit &logical :
+                 {workloads::Ghz(6).circuit(),
+                  workloads::BernsteinVazirani(6).circuit()}) {
+                compiler::TranspileOptions options;
+                options.noiseAware = noise_aware;
+                const compiler::CompiledCircuit global =
+                    compiler::transpile(logical, dev, options);
+                compiler::TranspileOptions cpm_options = options;
+                cpm_options.maxSwaps = global.swapCount;
 
-        compiler::CpmRecompiler recompiler(logical, dev, cpm_options);
-        const std::vector<int> qubit_of_clbit = logical.measuredQubits();
-        for (const Subset &subset :
-             core::slidingWindowSubsets(logical.countMeasurements(), 2)) {
-            std::vector<int> lqs;
-            for (int c : subset)
-                lqs.push_back(qubit_of_clbit[static_cast<std::size_t>(c)]);
+                compiler::CpmRecompiler recompiler(logical, dev,
+                                                   cpm_options);
+                const std::vector<int> qubit_of_clbit =
+                    logical.measuredQubits();
+                std::uint64_t candidates_evaluated = 0;
+                for (int size : {2, 3, 4, 5}) {
+                    for (const Subset &subset : core::slidingWindowSubsets(
+                             logical.countMeasurements(), size)) {
+                        std::vector<int> lqs;
+                        for (int c : subset) {
+                            lqs.push_back(qubit_of_clbit
+                                              [static_cast<std::size_t>(c)]);
+                        }
 
-            const compiler::CompiledCircuit batched =
-                recompiler.recompile(lqs);
-            const compiler::CompiledCircuit reference =
-                compiler::transpile(logical.withMeasurementSubset(lqs),
-                                    dev, cpm_options);
-            EXPECT_EQ(batched.physical.structuralHash(),
-                      reference.physical.structuralHash());
-            EXPECT_EQ(batched.initialLayout.logicalToPhysical(),
-                      reference.initialLayout.logicalToPhysical());
-            EXPECT_EQ(batched.finalLayout.logicalToPhysical(),
-                      reference.finalLayout.logicalToPhysical());
-            EXPECT_EQ(batched.swapCount, reference.swapCount);
-            EXPECT_EQ(batched.gateSuccess, reference.gateSuccess);
-            EXPECT_EQ(batched.measurementSuccess,
-                      reference.measurementSuccess);
-            EXPECT_EQ(batched.eps, reference.eps);
+                        const compiler::CompiledCircuit batched =
+                            recompiler.recompile(lqs);
+                        const compiler::CompiledCircuit reference =
+                            compiler::transpile(
+                                logical.withMeasurementSubset(lqs), dev,
+                                cpm_options);
+                        EXPECT_EQ(batched.physical.structuralHash(),
+                                  reference.physical.structuralHash());
+                        EXPECT_EQ(batched.initialLayout.logicalToPhysical(),
+                                  reference.initialLayout
+                                      .logicalToPhysical());
+                        EXPECT_EQ(batched.finalLayout.logicalToPhysical(),
+                                  reference.finalLayout.logicalToPhysical());
+                        EXPECT_EQ(batched.swapCount, reference.swapCount);
+                        EXPECT_EQ(batched.gateSuccess,
+                                  reference.gateSuccess);
+                        EXPECT_EQ(batched.measurementSuccess,
+                                  reference.measurementSuccess);
+                        EXPECT_EQ(batched.eps, reference.eps);
+
+                        // Candidates transpile() evaluates for this CPM:
+                        // one per start, plus the distance-only layout
+                        // when it differs (noise-aware mode only).
+                        const compiler::Placer placer(logical, dev);
+                        std::vector<int> starts =
+                            compiler::rankedStartQubits(dev, noise_aware);
+                        starts.resize(static_cast<std::size_t>(
+                            cpm_options.numCandidates));
+                        const std::vector<bool> mask =
+                            compiler::measuredMask(
+                                logical.withMeasurementSubset(lqs));
+                        for (int start : starts) {
+                            ++candidates_evaluated;
+                            if (noise_aware &&
+                                placer.place(start, true, mask)
+                                        .logicalToPhysical() !=
+                                    placer.place(start, false, mask)
+                                        .logicalToPhysical()) {
+                                ++candidates_evaluated;
+                            }
+                        }
+                    }
+                }
+                // The counter contract: every evaluated candidate is
+                // either a computed or a reused routing — and sharing
+                // must actually happen, since the distance-only family
+                // is measurement-independent.
+                EXPECT_EQ(recompiler.routingsComputed() +
+                              recompiler.routingsReused(),
+                          candidates_evaluated);
+                EXPECT_GT(recompiler.routingsReused(), 0u);
+            }
         }
-        // Sharing must actually happen: the distance-only placement
-        // family is measurement-independent, so across a whole
-        // sliding-window sweep the routing memo gets reused.
-        EXPECT_GT(recompiler.routingsReused(), 0u);
-        EXPECT_LT(recompiler.routingsComputed(),
-                  recompiler.routingsComputed() +
-                      recompiler.routingsReused());
     }
 }
 

@@ -8,6 +8,7 @@
  * sample sets. This file joins test_service in the CI ThreadSanitizer
  * leg (run with JIGSAW_THREADS=4 or more to exercise the pool).
  */
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -20,6 +21,7 @@
 
 #include "common/error.h"
 #include "common/fault.h"
+#include "compiler/transpiler.h"
 #include "core/scheduler.h"
 #include "obs/registry.h"
 #include "core/service.h"
@@ -463,11 +465,16 @@ TEST(StreamingScheduler, DrainClearsSheddingBacklog)
     options.maxQueuedJobs = 3; // Normal sheds once the backlog hits 3
     StreamingScheduler scheduler(options);
 
+    // Each job joins the held window before the next arrives: the
+    // window's width is fixed when it opens, from the backlog at that
+    // moment, and one opened with the backlog already full would
+    // dispatch at once (the overload shrink) and free the slot.
     std::vector<JobHandle> handles;
     for (std::size_t i = 0; i < 3; ++i) {
         const core::SubmitResult outcome = scheduler.submit(programs[i]);
         ASSERT_TRUE(outcome.admitted);
         handles.push_back(outcome.handle);
+        pollUntil(scheduler, outcome.handle, JobState::Windowed);
     }
     const core::SubmitResult shed = scheduler.submit(programs[3]);
     EXPECT_FALSE(shed.admitted);
@@ -829,6 +836,54 @@ TEST(StreamingScheduler, TenantFairShareAvoidsStarvation)
     ASSERT_TRUE(guest.has_value());
     ASSERT_TRUE(last_hog.has_value());
     EXPECT_LT(guest->queueWaitMs, last_hog->queueWaitMs);
+}
+
+TEST(StreamingScheduler, GatedAdmissionDoesNotBlockSubmit)
+{
+    // A backlog of Normal/Low jobs deeper than the prepare gate
+    // (maxInFlight + 1 prepares) leaves admission gated until a
+    // prepare finishes or a job ages into High. The dispatcher must
+    // wait for either event rather than spin holding the scheduler
+    // lock, so submit() stays prompt: far below one aging step, which
+    // is how long a spinning dispatcher would hold it.
+    const device::DeviceModel dev = device::toronto();
+    compiler::clearTranspileCache(); // cold compiles keep the gate shut
+    std::vector<ServiceProgram> programs;
+    std::uint64_t seed = 1401;
+    for (int n = 5; n <= 8; ++n) {
+        for (const circuit::QuantumCircuit &qc :
+             {workloads::Ghz(n).circuit(),
+              workloads::BernsteinVazirani(n).circuit()}) {
+            programs.emplace_back(qc, dev, 4096, core::jigsawMOptions(),
+                                  seed++);
+            programs.emplace_back(qc, dev, 4096, core::JigsawOptions{},
+                                  seed++);
+        }
+    }
+
+    StreamOptions options;
+    options.mergePolicy = core::MergePolicy::Never;
+    options.windowMs = 0.0;
+    options.maxInFlight = 1; // gate closes at two preparing jobs
+    options.agingMs = 400.0;
+    StreamingScheduler scheduler(options);
+    std::vector<JobHandle> handles;
+    double slowest_submit_ms = 0.0;
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+        const auto start = std::chrono::steady_clock::now();
+        const core::SubmitResult submitted = scheduler.submit(
+            programs[i], i % 2 == 0 ? Priority::Normal : Priority::Low);
+        slowest_submit_ms = std::max(
+            slowest_submit_ms,
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - start)
+                .count());
+        ASSERT_TRUE(submitted.admitted);
+        handles.push_back(submitted.handle);
+    }
+    EXPECT_LT(slowest_submit_ms, options.agingMs / 4.0);
+    scheduler.drain();
+    EXPECT_EQ(scheduler.stats().completed, programs.size());
 }
 
 // -------------------------------------------- percentile degeneracies
