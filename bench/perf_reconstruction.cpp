@@ -390,7 +390,7 @@ main(int argc, char **argv)
         std::cerr << "  [perf] service/concurrent_programs: "
                   << naive_ms << " ms -> " << opt_ms << " ms ("
                   << n_programs << " programs, "
-                  << service.stats().programsPerSecond()
+                  << 1000.0 * static_cast<double>(n_programs) / opt_ms
                   << " programs/s)\n";
     }
 
@@ -464,15 +464,17 @@ main(int argc, char **argv)
         }
         report.addComparison("service/cross_program_batching", naive_ms,
                              opt_ms);
+        const core::StreamStats stats = service.streamStats();
         std::cerr << "  [perf] service/cross_program_batching: "
                   << naive_ms << " ms -> " << opt_ms << " ms ("
                   << programs.size() << " programs, "
-                  << service.stats().crossProgramGroups
+                  << stats.mergedJobs << " merged jobs in "
+                  << stats.mergedWindows << " windows, "
+                  << stats.loneDispatches << " lone, "
+                  << stats.crossProgramGroups
                   << " cross-program groups, latency p50 "
-                  << service.stats().latencyPercentileMs(0.5)
-                  << " ms / p95 "
-                  << service.stats().latencyPercentileMs(0.95)
-                  << " ms)\n";
+                  << stats.latencyPercentileMs(0.5) << " ms / p95 "
+                  << stats.latencyPercentileMs(0.95) << " ms)\n";
     }
 
     // --- 2e. Service: streaming scheduler (windowed merging) -------
@@ -480,8 +482,8 @@ main(int argc, char **argv)
         // The same 45-program duplicated-circuit suite as 2d, but
         // through the submit/poll streaming scheduler: naive is
         // submit-and-run-immediately (MergePolicy::Never, zero merge
-        // window — every job an independent session with a private
-        // executor, today's path job by job), optimized is windowed
+        // window — every job an exclusive window of one on a private
+        // executor), optimized is windowed
         // merging (MergePolicy::Auto) where compatible jobs collect
         // in merge windows and dispatch as cross-program batches
         // against persistent per-device executors. Both must agree

@@ -60,7 +60,7 @@ main(int argc, char **argv)
               << " programs/s\n";
     std::cout << "latency p50:         " << run.latencyP50Ms << " ms\n";
     std::cout << "latency p95:         " << run.latencyP95Ms << " ms\n";
-    std::cout << "merged programs:     " << run.mergedPrograms << "\n";
+    std::cout << "merged jobs:         " << run.mergedJobs << "\n";
     std::cout << "cross-program groups: " << run.crossProgramGroups
               << "\n";
     if (compare) {

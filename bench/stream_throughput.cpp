@@ -526,8 +526,8 @@ main(int argc, char **argv)
                              : ""))
               << "\n";
 
-    // Immediate dispatch: every job an independent session with a
-    // private executor — submit-and-run-immediately, today's path.
+    // Immediate dispatch: every job an exclusive window of one on a
+    // private executor — submit-and-run-immediately.
     StreamOptions immediate;
     immediate.mergePolicy = core::MergePolicy::Never;
     immediate.windowMs = 0.0;

@@ -238,19 +238,23 @@ runEvaluationSuiteService(std::uint64_t trials, std::uint64_t seed,
 
     compiler::clearTranspileCache();
     core::JigsawService service;
+    const auto start = std::chrono::steady_clock::now();
     const std::vector<core::JigsawResult> results = service.run(programs);
-    run.serviceMs = service.stats().wallMs;
-    run.latencyP50Ms = service.stats().latencyPercentileMs(0.5);
-    run.latencyP95Ms = service.stats().latencyPercentileMs(0.95);
-    run.mergedPrograms = service.stats().mergedPrograms;
-    run.crossProgramGroups = service.stats().crossProgramGroups;
+    run.serviceMs = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    const core::StreamStats stats = service.streamStats();
+    run.latencyP50Ms = stats.latencyPercentileMs(0.5);
+    run.latencyP95Ms = stats.latencyPercentileMs(0.95);
+    run.mergedJobs = stats.mergedJobs;
+    run.crossProgramGroups = stats.crossProgramGroups;
     if (!quiet) {
         std::cerr << "  [suite] service mode: " << programs.size()
                   << " programs concurrent in " << run.serviceMs
                   << " ms (" << run.programsPerSecond()
                   << " programs/s, latency p50 " << run.latencyP50Ms
                   << " ms / p95 " << run.latencyP95Ms << " ms, "
-                  << run.mergedPrograms << " merged over "
+                  << run.mergedJobs << " merged over "
                   << run.crossProgramGroups
                   << " cross-program groups)\n";
     }

@@ -232,8 +232,7 @@ const KernelTable &activeKernels();
  * phase tables in particular). One invocation is one kernel call,
  * typically a thread-pool chunk of >= 2^14 elements, so the counting
  * cost is noise. Snapshots surface through ExecutorCounters /
- * ServiceStats / StreamStats and the JIGSAW_SUITE_TIMINGS_JSON
- * export.
+ * StreamStats and the JIGSAW_SUITE_TIMINGS_JSON export.
  * @{ */
 
 /** Kernel identifiers, one per KernelTable entry. */

@@ -325,12 +325,20 @@ mergeSourceInto(MergedSchedule &merged,
     panicIf(s >= sources.size(), "mergeSourceInto: source out of range");
     const MergeSource &src = sources[s];
     panicIf(src.jobs == nullptr || src.schedule == nullptr ||
-                src.plan == nullptr || src.executor == nullptr ||
-                src.rng == nullptr,
+                src.plan == nullptr || src.executor == nullptr,
             "mergeSchedules: incomplete source");
-    fatalIf(!src.executor->supportsExternalSampling(),
+    fatalIf(src.rng != nullptr &&
+                !src.executor->supportsExternalSampling(),
             "mergeSchedules: executor does not support external "
             "sampling streams");
+    // Interleaving an executor's own stream with other sources' draws
+    // would make every result depend on the merge's composition.
+    for (std::size_t o = 0; o < sources.size(); ++o) {
+        panicIf(src.enabled && o != s && sources[o].enabled &&
+                    (src.rng == nullptr || sources[o].rng == nullptr),
+                "mergeSchedules: a source without a draw stream must "
+                "execute alone");
+    }
     for (std::size_t g = 0; g < src.schedule->groups.size(); ++g) {
         const ExecutionSchedule::Group &group = src.schedule->groups[g];
         // Exact-match scan: group counts stay small (a handful per
@@ -470,10 +478,13 @@ executeMergedSchedules(const std::vector<MergeSource> &sources,
         }
         const auto runAlone = [&results, &sources](std::size_t s) {
             const MergeSource &src = sources[s];
+            const circuit::QuantumCircuit &global =
+                src.jobs->global.physical;
+            const std::uint64_t trials = src.plan->globalTrials;
             results[s].globalPmf =
-                src.executor
-                    ->run(src.jobs->global.physical,
-                          src.plan->globalTrials, *src.rng)
+                (src.rng != nullptr
+                     ? src.executor->run(global, trials, *src.rng)
+                     : src.executor->run(global, trials))
                     .toPmf();
         };
         for (const GlobalPool &pool : pools) {

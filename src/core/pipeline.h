@@ -170,7 +170,13 @@ struct MergeSource
     const SubsetPlan *plan = nullptr;
     std::uint64_t deviceKey = 0; ///< device::DeviceModel::fingerprint().
     sim::Executor *executor = nullptr; ///< Shared per deviceKey.
-    Rng *rng = nullptr;                ///< Per-program stream.
+    /**
+     * Per-program stream. Null draws from the executor's own stream,
+     * exactly as executeSchedule does — only sound for a source that
+     * executes alone (an exclusive streaming window of one), which
+     * mergeSourceInto enforces.
+     */
+    Rng *rng = nullptr;
     /**
      * False marks a retired slot: a source that joined an incremental
      * merge and was then withdrawn (a cancelled streaming job). Its

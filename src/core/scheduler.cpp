@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -284,7 +285,7 @@ StreamingScheduler::registerMetrics()
                    "Undispatched live jobs (admission backlog).");
     inFlightGauge_ =
         &reg.gauge("jigsaw_stream_inflight",
-                   "Dispatched windows/solo jobs still running.");
+                   "Dispatched windows still running.");
     windowWidthGauge_ =
         &reg.gauge("jigsaw_window_width_ms",
                    "Effective merge-window width after overload "
@@ -331,6 +332,13 @@ StreamingScheduler::retryHintMsLocked(std::size_t threshold) const
 SubmitResult
 StreamingScheduler::submit(ServiceProgram program, Priority priority)
 {
+    return submitToBatch(std::move(program), priority, 0);
+}
+
+SubmitResult
+StreamingScheduler::submitToBatch(ServiceProgram program, Priority priority,
+                                  std::uint64_t batch)
+{
     std::unique_lock<std::mutex> lock(mutex_);
     fatalIf(stopping_, "StreamingScheduler: submit after shutdown");
     if (options_.maxQueuedJobs > 0) {
@@ -356,6 +364,7 @@ StreamingScheduler::submit(ServiceProgram program, Priority priority)
     }
     const std::uint64_t id = nextJobId_++;
     auto job = std::make_unique<Job>(id, priority, std::move(program));
+    job->batch = batch;
     job->submitAt = Clock::now();
     // Inter-arrival EWMA: the burst detector's numerator-side signal
     // (effectiveWindowMsLocked compares it against the drain EWMA).
@@ -368,8 +377,8 @@ StreamingScheduler::submit(ServiceProgram program, Priority priority)
     lastSubmitAt_ = job->submitAt;
     job->mergeEligible = options_.mergePolicy != MergePolicy::Never &&
                          job->program.executor == nullptr;
+    job->deviceKey = job->program.device.fingerprint();
     if (job->mergeEligible) {
-        job->deviceKey = job->program.device.fingerprint();
         job->windowKey = windowKeyFor(options_.mergePolicy,
                                       job->deviceKey,
                                       job->program.circuit);
@@ -542,16 +551,6 @@ StreamingScheduler::withdrawLocked(Job &job, JobState terminal_state,
         return true;
       }
       case JobState::Windowed: {
-        if (job.windowSlot == kNoSlot) {
-            // A prepared solo job awaiting its dispatch slot (it
-            // never joins a window): pull it off the dispatch queue.
-            std::erase_if(readyQueue_, [&](const ReadyEntry &entry) {
-                return !entry.isWindow && entry.id == job.id;
-            });
-            finishJob(job, terminal_state, error);
-            releaseJobState(job);
-            return true;
-        }
         // Unwind the job from its (open or closed-but-undispatched)
         // window: members out of the incremental merged schedule,
         // slot disabled so the executor pass skips it.
@@ -573,7 +572,7 @@ StreamingScheduler::withdrawLocked(Job &job, JobState terminal_state,
         releaseJobState(job);
         if (window.jobIds.empty()) {
             std::erase_if(readyQueue_, [&](const ReadyEntry &entry) {
-                return entry.isWindow && entry.id == window.id;
+                return entry.id == window.id;
             });
             windows_.erase(wit);
         }
@@ -617,35 +616,40 @@ StreamingScheduler::release(JobHandle handle)
     return true;
 }
 
+bool
+StreamingScheduler::awaitsJoinerLocked(const Window &window) const
+{
+    // An admitted job still queued or preparing joins the first open
+    // window with its key once its stages finish; closing that window
+    // early would split jobs that submission order put together.
+    if (window.exclusive ||
+        (window.batch == 0 &&
+         window.jobIds.size() >= options_.windowMaxJobs))
+        return false;
+    for (const auto &[id, job] : jobs_) {
+        if ((job->state == JobState::Queued ||
+             job->state == JobState::Preparing) &&
+            job->mergeEligible && !job->quarantined &&
+            job->batch == window.batch && job->windowKey == window.key)
+            return true;
+    }
+    return false;
+}
+
 void
 StreamingScheduler::drain()
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    // An admitted job still queued or preparing joins the first open
-    // window with its key once its stages finish; closing that window
-    // early would split jobs that submission order put together.
-    const auto awaits_joiner = [this](const auto &window) {
-        if (window.exclusive ||
-            window.jobIds.size() >= options_.windowMaxJobs)
-            return false;
-        for (const auto &[id, job] : jobs_) {
-            if ((job->state == JobState::Queued ||
-                 job->state == JobState::Preparing) &&
-                job->mergeEligible && !job->quarantined &&
-                job->windowKey == window.key)
-                return true;
-        }
-        return false;
-    };
     while (liveJobs_ > 0) {
-        // Close open windows now instead of waiting out windowMs —
-        // re-checked every pass, because a job that was still queued
-        // or preparing when drain() began opens its window later.
+        // Close open streaming windows now instead of waiting out
+        // windowMs — re-checked every pass, because a job that was
+        // still queued or preparing when drain() began opens its
+        // window later. Batch windows are their run()'s to close.
         const auto now = Clock::now();
         bool closed_any = false;
         for (auto &[id, window] : windows_) {
-            if (!window->closed && window->deadline > now &&
-                !awaits_joiner(*window)) {
+            if (!window->closed && window->batch == 0 &&
+                window->deadline > now && !awaitsJoinerLocked(*window)) {
                 window->deadline = now;
                 closed_any = true;
             }
@@ -658,6 +662,78 @@ StreamingScheduler::drain()
         if (!ran)
             jobCv_.wait_for(lock, std::chrono::milliseconds(2));
     }
+}
+
+void
+StreamingScheduler::awaitBatchLocked(std::unique_lock<std::mutex> &lock,
+                                     std::uint64_t batch)
+{
+    // Sealed, the batch's windows close from the dispatcher as soon
+    // as their last joiner arrives, not when this thread next looks
+    // up from the task it is helping with.
+    sealedBatches_.push_back(batch);
+    dispatcherCv_.notify_all();
+    const auto live = [this, batch] {
+        for (const auto &[id, job] : jobs_) {
+            if (job->batch == batch && !isTerminal(job->state))
+                return true;
+        }
+        return false;
+    };
+    while (live()) {
+        lock.unlock();
+        const bool ran = detail::sharedPool().tryRunOneTask();
+        lock.lock();
+        if (!ran)
+            jobCv_.wait_for(lock, std::chrono::milliseconds(2));
+    }
+    std::erase(sealedBatches_, batch);
+}
+
+std::vector<JigsawResult>
+StreamingScheduler::run(const std::vector<ServiceProgram> &programs)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    const std::uint64_t batch = nextBatchId_++;
+    lock.unlock();
+    std::vector<JobHandle> handles;
+    handles.reserve(programs.size());
+    for (const ServiceProgram &program : programs) {
+        SubmitResult submitted =
+            submitToBatch(program, Priority::Normal, batch);
+        if (!submitted) {
+            // Shed by bounded admission: let this batch's admitted
+            // jobs finish, then try once more (a zero shed threshold
+            // sheds forever).
+            lock.lock();
+            awaitBatchLocked(lock, batch);
+            lock.unlock();
+            submitted = submitToBatch(program, Priority::Normal, batch);
+        }
+        handles.push_back(submitted.handle); // id 0 when shed twice
+    }
+    lock.lock();
+    awaitBatchLocked(lock, batch);
+    lock.unlock();
+
+    std::vector<JigsawResult> results;
+    results.reserve(programs.size());
+    std::exception_ptr first_error;
+    for (const JobHandle handle : handles) {
+        try {
+            if (handle.id == 0)
+                throw std::runtime_error("JigsawService::run: program "
+                                         "shed by bounded admission");
+            results.push_back(wait(handle));
+        } catch (...) {
+            if (!first_error)
+                first_error = std::current_exception();
+        }
+        release(handle);
+    }
+    if (first_error)
+        std::rethrow_exception(first_error);
+    return results;
 }
 
 StreamStats
@@ -821,17 +897,8 @@ StreamingScheduler::onPrepared(std::uint64_t job_id,
             releaseJobState(*it->second);
         } else if (error) {
             handleJobFailure(*it->second, error, Clock::now(), false);
-        } else if (it->second->mergeEligible) {
-            scheduleReady_.push_back(job_id);
         } else {
-            Job &job = *it->second;
-            job.state = JobState::Windowed; // dispatchable, no window
-            ReadyEntry entry;
-            entry.id = job_id;
-            entry.cls = job.priority;
-            entry.readySince = Clock::now();
-            entry.tenant = job.program.tenant;
-            readyQueue_.push_back(std::move(entry));
+            scheduleReady_.push_back(job_id);
         }
     }
     dispatcherCv_.notify_all();
@@ -841,12 +908,19 @@ StreamingScheduler::onPrepared(std::uint64_t job_id,
 void
 StreamingScheduler::joinWindow(Job &job, Clock::time_point now)
 {
+    // A quarantined job must still ride the merged machinery (its
+    // draws come from its private stream), but alone: an exclusive
+    // window admits no partners for it to poison. A job that cannot
+    // merge at all executes alone the same way.
+    const bool exclusive = job.quarantined || !job.mergeEligible;
     Window *window = nullptr;
-    if (!job.quarantined) {
+    if (!exclusive) {
         for (auto &[id, candidate] : windows_) {
             if (!candidate->closed && !candidate->exclusive &&
                 candidate->key == job.windowKey &&
-                candidate->jobIds.size() < options_.windowMaxJobs) {
+                candidate->batch == job.batch &&
+                (job.batch != 0 ||
+                 candidate->jobIds.size() < options_.windowMaxJobs)) {
                 window = candidate.get();
                 break;
             }
@@ -856,12 +930,18 @@ StreamingScheduler::joinWindow(Job &job, Clock::time_point now)
         auto fresh = std::make_unique<Window>();
         fresh->id = nextWindowId_++;
         fresh->key = job.windowKey;
-        // A quarantined job must still ride the merged machinery (its
-        // draws come from its private stream), but alone: an
-        // exclusive window admits no partners for it to poison.
-        fresh->exclusive = job.quarantined;
+        fresh->exclusive = exclusive;
+        fresh->batch = exclusive ? 0 : job.batch;
         fresh->openedAt = now;
-        fresh->deadline = now + msDuration(effectiveWindowMsLocked());
+        // An exclusive window closes on the spot and a batch window
+        // once its sealed batch has no joiner left: only a streaming
+        // window has a width to adapt.
+        if (exclusive)
+            fresh->deadline = now;
+        else if (fresh->batch != 0)
+            fresh->deadline = kHeld;
+        else
+            fresh->deadline = now + msDuration(effectiveWindowMsLocked());
         window = fresh.get();
         windows_.emplace(fresh->id, std::move(fresh));
         JIGSAW_LOG_TRACE(schedulerLog(), "window opened",
@@ -889,10 +969,10 @@ StreamingScheduler::joinWindow(Job &job, Clock::time_point now)
                      log::kv("slot", slot));
     // High-priority jobs never trade latency for merging: their
     // window closes on the spot (with whatever has joined so far).
-    // Quarantined retries close theirs too — they have waited enough.
-    if (job.priority == Priority::High || job.quarantined || stopping_)
+    if (job.priority == Priority::High || stopping_)
         window->deadline = now;
-    if (window->jobIds.size() >= options_.windowMaxJobs ||
+    if ((window->batch == 0 &&
+         window->jobIds.size() >= options_.windowMaxJobs) ||
         window->exclusive || window->deadline <= now)
         closeWindow(*window, now);
 }
@@ -909,7 +989,6 @@ StreamingScheduler::closeWindow(Window &window, Clock::time_point now)
                      log::kv("waited_ms",
                              msBetweenImpl(window.openedAt, now)));
     ReadyEntry entry;
-    entry.isWindow = true;
     entry.id = window.id;
     entry.cls = window.bestClass;
     entry.readySince = now;
@@ -939,7 +1018,7 @@ StreamingScheduler::dispatchNext(Clock::time_point now)
     // job count), so a hot tenant pays for big windows while idle
     // tenants' deficits reset. One scan of the rotation per quantum;
     // a candidate always exists in-class, so the sweep terminates
-    // within rotation * (windowMaxJobs + 1) visits.
+    // within rotation * (largest candidate cost + 1) visits.
     std::unordered_map<std::string, std::size_t> candidate;
     for (std::size_t i = 0; i < readyQueue_.size(); ++i) {
         const ReadyEntry &entry = readyQueue_[i];
@@ -955,8 +1034,10 @@ StreamingScheduler::dispatchNext(Clock::time_point now)
     const std::size_t rotation = tenantRotation_.size();
     panicIf(rotation == 0 || candidate.empty(),
             "dispatch: ready entry without tenant");
-    const std::size_t max_steps =
-        rotation * (options_.windowMaxJobs + 2);
+    std::size_t max_cost = 0;
+    for (const auto &[tenant, i] : candidate)
+        max_cost = std::max(max_cost, readyQueue_[i].cost);
+    const std::size_t max_steps = rotation * (max_cost + 2);
     for (std::size_t step = 0; step < max_steps; ++step) {
         const std::string &tenant =
             tenantRotation_[rrCursor_++ % rotation];
@@ -974,92 +1055,26 @@ StreamingScheduler::dispatchNext(Clock::time_point now)
         const ReadyEntry taken = entry;
         readyQueue_.erase(readyQueue_.begin() +
                           static_cast<std::ptrdiff_t>(cit->second));
-        // Last-chance SLO check: a job aged out while its unit
-        // queued for a slot (or gathered window partners) expires
-        // here instead of executing past its deadline.
-        if (taken.isWindow) {
-            const auto it = windows_.find(taken.id);
-            panicIf(it == windows_.end(), "dispatch: window vanished");
-            const std::vector<std::uint64_t> members =
-                it->second->jobIds;
-            for (const std::uint64_t member : members) {
-                Job &job = *jobs_.at(member);
-                if (isSet(job.deadlineAt) && job.deadlineAt <= now)
-                    withdrawLocked(job, JobState::Expired,
-                                   deadlineError());
-            }
-            // Withdrawing the last member erased the window; the
-            // freed slot still counts as progress.
-            const auto again = windows_.find(taken.id);
-            if (again == windows_.end())
-                return true;
-            dispatchWindow(*again->second, now);
-        } else {
-            Job &job = *jobs_.at(taken.id);
-            if (isSet(job.deadlineAt) && job.deadlineAt <= now) {
+        // Last-chance SLO check: a job aged out while its window
+        // queued for a slot (or gathered partners) expires here
+        // instead of executing past its deadline.
+        const auto it = windows_.find(taken.id);
+        panicIf(it == windows_.end(), "dispatch: window vanished");
+        const std::vector<std::uint64_t> members = it->second->jobIds;
+        for (const std::uint64_t member : members) {
+            Job &job = *jobs_.at(member);
+            if (isSet(job.deadlineAt) && job.deadlineAt <= now)
                 withdrawLocked(job, JobState::Expired, deadlineError());
-                return true;
-            }
-            dispatchSolo(job, now);
         }
+        // Withdrawing the last member erased the window; the freed
+        // slot still counts as progress.
+        const auto again = windows_.find(taken.id);
+        if (again != windows_.end())
+            dispatchWindow(*again->second, now);
         return true;
     }
     panicIf(true, "dispatch: deficit round-robin failed to pick");
     return false;
-}
-
-void
-StreamingScheduler::dispatchSolo(Job &job, Clock::time_point now)
-{
-    job.state = JobState::Dispatched;
-    job.dispatchAt = now;
-    --backlog_;
-    ++inFlight_;
-    ++stats_.loneDispatches;
-    obs::TraceRecorder *trace = options_.trace.get();
-    if (trace != nullptr)
-        trace->record(job.id, job.traceEpoch, "dispatch",
-                      trace->toMs(now), 0.0, 0, 0);
-    JIGSAW_LOG_TRACE(schedulerLog(), "solo dispatch",
-                     log::kv("job", job.id));
-    JigsawSession *session = job.session.get();
-    std::shared_ptr<JigsawResult> *result_slot = &job.result;
-    const std::uint64_t id = job.id;
-    const std::uint32_t epoch = job.traceEpoch;
-    group_.run(
-        [session, result_slot, trace, id, epoch] {
-            if (trace != nullptr) {
-                // Stepwise for the span split: executed() runs the
-                // execute stage, run() the remaining reconstruction.
-                const double exec_start = trace->nowMs();
-                session->executed();
-                const double recon_start = trace->nowMs();
-                trace->record(id, epoch, "execute", exec_start,
-                              recon_start - exec_start, 0, 0);
-                *result_slot =
-                    std::make_shared<JigsawResult>(session->run());
-                trace->record(id, epoch, "reconstruct", recon_start,
-                              trace->nowMs() - recon_start, 0, 0);
-            } else {
-                *result_slot =
-                    std::make_shared<JigsawResult>(session->run());
-            }
-        },
-        [this, id](std::exception_ptr error) {
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                Job &done = *jobs_.at(id);
-                --inFlight_;
-                if (error) {
-                    handleJobFailure(done, error, Clock::now(), false);
-                } else {
-                    finishJob(done, JobState::Done, nullptr);
-                    releaseJobState(done);
-                }
-            }
-            dispatcherCv_.notify_all();
-            jobCv_.notify_all();
-        });
 }
 
 void
@@ -1090,13 +1105,17 @@ StreamingScheduler::dispatchWindow(Window &window, Clock::time_point now)
                           trace->toMs(now), 0.0, window.id, 0);
         }
     }
+    // A worker rebuilds each job's draw stream from Rng(executorSeed);
+    // a job sampling its own executor's stream (a caller-supplied
+    // executor, or MergePolicy::Never) has nothing to rebuild, so its
+    // exclusive window stays local.
+    const bool remote = transport_ != nullptr &&
+                        jobs_.at(window.jobIds.front())->mergeEligible;
     JIGSAW_LOG_DEBUG(schedulerLog(), "window dispatched",
                      log::kv("window", window.id),
                      log::kv("jobs", window.jobIds.size()),
-                     log::kv("backend", transport_ != nullptr
-                                            ? "worker"
-                                            : "local"));
-    if (transport_ != nullptr) {
+                     log::kv("backend", remote ? "worker" : "local"));
+    if (remote) {
         grantLeaseLocked(window, 0, now);
         return;
     }
@@ -1478,7 +1497,7 @@ StreamingScheduler::requeueLocked(Job &job, Clock::time_point retry_at)
     job.result.reset();
     job.error = nullptr;
     job.windowId = 0;
-    job.windowSlot = kNoSlot;
+    job.windowSlot = 0;
     job.windowStartAt = {};
     ++job.traceEpoch; // the retry's spans form a fresh attempt set
     job.state = JobState::Queued;
@@ -1736,9 +1755,16 @@ StreamingScheduler::dispatcherLoop()
             }
         }
 
-        // Close expired windows.
+        // Close expired windows, and the windows of a sealed run()
+        // batch that no queued or preparing batch job could still join.
         for (auto &[id, window] : windows_) {
-            if (!window->closed && window->deadline <= now)
+            if (window->closed)
+                continue;
+            if (window->deadline <= now ||
+                (window->batch != 0 &&
+                 std::ranges::find(sealedBatches_, window->batch) !=
+                     sealedBatches_.end() &&
+                 !awaitsJoinerLocked(*window)))
                 closeWindow(*window, now);
         }
 
@@ -1750,14 +1776,20 @@ StreamingScheduler::dispatcherLoop()
             return;
 
         // On a worker-less pool nothing else drains the task queue
-        // when callers only poll(); the dispatcher pitches in.
+        // when callers only poll(); the dispatcher pitches in. The
+        // lock is dropped meanwhile, so whatever a finished task
+        // changed (a freed in-flight slot, a prepared job) was
+        // notified while the dispatcher was not waiting: always start
+        // the next pass from the top rather than sleep on state read
+        // before the help. With nothing to run, poll at 1 ms.
         if (detail::sharedPool().workerCount() == 0 &&
             (inFlight_ > 0 || preparing_ > 0)) {
             lock.unlock();
             const bool ran = detail::sharedPool().tryRunOneTask();
             lock.lock();
-            if (ran)
-                continue;
+            if (!ran)
+                dispatcherCv_.wait_for(lock, std::chrono::milliseconds(1));
+            continue;
         }
 
         // Sleep until the next timed event — window deadline, retry
@@ -1768,7 +1800,7 @@ StreamingScheduler::dispatcherLoop()
                 next = at;
         };
         for (const auto &[id, window] : windows_) {
-            if (!window->closed)
+            if (!window->closed && window->deadline != kHeld)
                 consider(window->deadline);
         }
         for (const std::uint64_t id : retryQueue_)
@@ -1815,10 +1847,7 @@ StreamingScheduler::dispatcherLoop()
             if (admissible)
                 continue; // the gate reopened or a job aged into High
         }
-        if (detail::sharedPool().workerCount() == 0 &&
-            (inFlight_ > 0 || preparing_ > 0)) {
-            dispatcherCv_.wait_for(lock, std::chrono::milliseconds(1));
-        } else if (next) {
+        if (next) {
             dispatcherCv_.wait_until(lock, *next);
         } else {
             dispatcherCv_.wait(lock);

@@ -2,10 +2,11 @@
  * @file
  * StreamingScheduler: submit/poll job scheduling over JigsawSessions.
  *
- * The batch JigsawService::run answers "here are N programs, run them
- * all"; this subsystem answers the online shape — programs trickling
+ * Every execution in the service goes through here: programs trickling
  * in from concurrent callers, each wanting its result as soon as
- * possible. One scheduler owns:
+ * possible, and the batch JigsawService::run (run() below), which
+ * submits into windows of its own and closes them once the whole
+ * batch has joined. One scheduler owns:
  *
  *  - a priority-aware admission queue (submit() -> SubmitResult) with
  *    bounded admission: when StreamOptions::maxQueuedJobs caps the
@@ -17,11 +18,12 @@
  *  - merge windows: scheduled jobs wait up to StreamOptions::windowMs
  *    (or until windowMaxJobs join) for compatible work, then the
  *    window dispatches as ONE cross-program merged execution — the
- *    same (device fingerprint, CPM gate-prefix hash) keyed
- *    mergeSchedules/executeMergedSchedules path the batch service
- *    uses, built incrementally (core::mergeSourceInto) as jobs join
+ *    (device fingerprint, CPM gate-prefix hash) keyed
+ *    mergeSchedules/executeMergedSchedules path, built incrementally
+ *    (core::mergeSourceInto) as jobs join
  *    and unwound (core::removeSourceFrom) when a windowed job is
- *    cancelled or expires;
+ *    cancelled or expires; a run() batch has windows of its own that
+ *    close once the whole batch has joined;
  *  - a dispatch queue with priority classes, waiting-time aging (no
  *    starvation), deficit round-robin across ServiceProgram::tenant
  *    tags inside each aged class (one hot tenant cannot starve the
@@ -50,10 +52,13 @@
  *    re-dispatch never charges the jobs' transient-retry budget: the
  *    jobs did nothing wrong, the fleet did.
  *
- * A lone job whose window expires without partners dispatches
- * immediately as a single-source execution, so streaming latency
- * never regresses below the session-at-a-time path; Priority::High
- * jobs never wait in a window at all.
+ * The window is the only dispatch unit. A lone job whose window
+ * expires without partners dispatches as a single-source execution;
+ * a job that cannot merge — a caller-supplied executor, or
+ * MergePolicy::Never — opens an exclusive window of one that samples
+ * its executor's own stream and always executes locally (only
+ * per-job Rng(executorSeed) streams can be rebuilt on a worker).
+ * Priority::High jobs never wait in a window at all.
  *
  * Determinism: a job created with a service-owned executor samples
  * every draw from its own Rng(executorSeed) stream through the merged
@@ -66,7 +71,7 @@
  * tests/test_stream.cpp asserts under concurrent submitters and
  * injected faults (common/fault.h).
  *
- * Thread-safety: submit/poll/wait/cancel/release/drain/stats may be
+ * Thread-safety: submit/run/poll/wait/cancel/release/drain/stats may be
  * called concurrently from any thread. Stage and execution work runs
  * on the shared pool; windowing, dispatch, retry, and expiry
  * decisions are made by one internal dispatcher thread. wait()/
@@ -137,10 +142,10 @@ class StreamingScheduler
      * or, under bounded admission with the backlog at this class's
      * shed threshold, reject it (SubmitResult::admitted false) with a
      * finite tryLaterAfterMs hint. Programs with a caller-supplied
-     * executor (or under MergePolicy::Never) run as independent
-     * sessions against that executor, exactly like the batch
-     * service's legacy path; everything else becomes merge-eligible
-     * with a private Rng(executorSeed) draw stream.
+     * executor (or under MergePolicy::Never) execute alone, in an
+     * exclusive window of one drawing from that executor's own
+     * stream; everything else becomes merge-eligible with a private
+     * Rng(executorSeed) draw stream.
      */
     SubmitResult submit(ServiceProgram program,
                         Priority priority = Priority::Normal);
@@ -200,8 +205,25 @@ class StreamingScheduler
      * windows are closed immediately rather than waiting out
      * windowMs — each once no queued or preparing job could still
      * join it, so drain() never splits a window's membership.
+     * Windows of a run() batch are left to that run() to close.
      */
     void drain();
+
+    /**
+     * Run @p programs as one batch and return their results in
+     * submission order (JigsawService::run documents the contract).
+     * Each program is submitted at Priority::Normal into windows that
+     * only this batch's programs join: a batch window has no width
+     * and no windowMaxJobs cap, and closes once no program of the
+     * batch that could still join it is queued or preparing — so the
+     * batch merges as one whatever compilation takes. run() waits
+     * for this batch's jobs only; streaming traffic submitted
+     * meanwhile keeps its own windows and timing. A submit shed by
+     * bounded admission waits for the batch's admitted jobs to
+     * finish, then is retried once; a second shed fails that
+     * program.
+     */
+    std::vector<JigsawResult> run(const std::vector<ServiceProgram> &programs);
 
     /** Counter/latency snapshot (thread-safe at any time). */
     StreamStats stats() const;
@@ -216,7 +238,8 @@ class StreamingScheduler
 
   private:
     using Clock = std::chrono::steady_clock;
-    static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+    /** Deadline of a batch window: no timer closes it. */
+    static constexpr Clock::time_point kHeld = Clock::time_point::max();
 
     /** One submitted program and everything it accretes. */
     struct Job
@@ -235,6 +258,7 @@ class StreamingScheduler
          *  exclusive single-job window from now on. */
         bool quarantined = false;
         bool delivered = false; ///< wait() returned this result.
+        std::uint64_t batch = 0; ///< run() batch id; 0 from submit().
         std::uint32_t attempts = 0; ///< Transient retries consumed.
         std::uint64_t deviceKey = 0; ///< DeviceModel::fingerprint().
         std::uint64_t windowKey = 0; ///< Window compatibility key.
@@ -252,8 +276,8 @@ class StreamingScheduler
         std::shared_ptr<JigsawSession> session;
         std::exception_ptr error;
         std::shared_ptr<JigsawResult> result;
-        std::uint64_t windowId = 0;
-        std::size_t windowSlot = kNoSlot;
+        std::uint64_t windowId = 0;   ///< 0 until the job is windowed.
+        std::size_t windowSlot = 0;
         /** Trace attempt index (obs::TraceRecorder spans): 0 for the
          *  first pass, bumped on every requeue — retry or quarantine
          *  — so a retried job's span sets stay distinguishable. */
@@ -267,7 +291,14 @@ class StreamingScheduler
         std::uint64_t id = 0;
         std::uint64_t key = 0;
         Priority bestClass = Priority::Low;
-        bool exclusive = false; ///< Quarantine window: one job, no joins.
+        /** One job, no joins: a quarantined retry or a job that
+         *  cannot merge (see submit()). */
+        bool exclusive = false;
+        /** run() batch whose jobs alone join this window; 0 for a
+         *  streaming window. A batch window's deadline is kHeld: it
+         *  closes once its run() sealed the batch (awaitBatchLocked)
+         *  and no joiner is left. */
+        std::uint64_t batch = 0;
         Clock::time_point openedAt{};
         Clock::time_point deadline{};
         bool closed = false;
@@ -293,11 +324,10 @@ class StreamingScheduler
         Clock::time_point deadline{};
     };
 
-    /** A dispatchable unit waiting for an in-flight slot. */
+    /** A closed window waiting for an in-flight slot. */
     struct ReadyEntry
     {
-        bool isWindow = false;
-        std::uint64_t id = 0; ///< Window id or (solo) job id.
+        std::uint64_t id = 0; ///< Window id.
         Priority cls = Priority::Normal;
         Clock::time_point readySince{};
         /** Tenant charged by deficit round-robin (a multi-tenant
@@ -306,13 +336,24 @@ class StreamingScheduler
         std::size_t cost = 1; ///< DRR quantum cost (window job count).
     };
 
+    /** Admit @p program as a job of run() batch @p batch (0 for
+     *  submit()). */
+    SubmitResult submitToBatch(ServiceProgram program, Priority priority,
+                               std::uint64_t batch);
+    /** True while a queued or preparing job could still join
+     *  @p window (same batch and key, merge-eligible, room left). */
+    bool awaitsJoinerLocked(const Window &window) const;
+    /** Seal run() batch @p batch — no more of its jobs are coming, so
+     *  the dispatcher closes each of its windows once no joiner is
+     *  left — and block until none of its jobs is live. */
+    void awaitBatchLocked(std::unique_lock<std::mutex> &lock,
+                          std::uint64_t batch);
     void dispatcherLoop();
     void startPrepare(Job &job);                       // mutex held
     void onPrepared(std::uint64_t job_id, std::exception_ptr error);
     void joinWindow(Job &job, Clock::time_point now);  // mutex held
     void closeWindow(Window &window, Clock::time_point now); // held
     bool dispatchNext(Clock::time_point now);          // mutex held
-    void dispatchSolo(Job &job, Clock::time_point now);   // held
     void dispatchWindow(Window &window, Clock::time_point now); // held
     void runWindowTask(std::uint64_t window_id);
     /** @name Worker tier (all with mutex held). @{ */
@@ -392,6 +433,9 @@ class StreamingScheduler
 
     std::uint64_t nextJobId_ = 1;
     std::uint64_t nextWindowId_ = 1;
+    std::uint64_t nextBatchId_ = 1;
+    /** run() batches fully submitted and awaiting their jobs. */
+    std::vector<std::uint64_t> sealedBatches_;
     std::unordered_map<std::uint64_t, std::unique_ptr<Job>> jobs_;
     std::unordered_map<std::uint64_t, std::unique_ptr<Window>> windows_;
     std::vector<std::uint64_t> admission_;     ///< Queued job ids.
@@ -400,7 +444,7 @@ class StreamingScheduler
     std::vector<std::uint64_t> scheduleReady_; ///< Prepared, unwindowed.
     std::vector<ReadyEntry> readyQueue_;       ///< Awaiting dispatch.
     std::deque<std::uint64_t> retired_; ///< Delivered, eviction order.
-    std::size_t inFlight_ = 0;   ///< Dispatched windows/solo jobs.
+    std::size_t inFlight_ = 0;   ///< Dispatched windows.
     std::size_t preparing_ = 0;  ///< Prepare stages on the pool.
     std::size_t liveJobs_ = 0;   ///< Non-terminal jobs.
     std::size_t backlog_ = 0;    ///< Undispatched live jobs.

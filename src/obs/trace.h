@@ -44,7 +44,7 @@ struct TraceSpan {
     double startMs = 0.0;
     double durationMs = 0.0;
     std::uint64_t thread = 0;
-    std::uint64_t windowId = 0; ///< 0 = solo (never windowed)
+    std::uint64_t windowId = 0; ///< 0 before the job joined a window
     std::uint64_t leaseId = 0;  ///< 0 = executed locally
 };
 

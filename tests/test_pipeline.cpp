@@ -327,6 +327,29 @@ TEST(MergeSchedules, PooledGlobalsMatchAndAreCounted)
         << "distinct seeds must draw distinct global samples";
 }
 
+TEST(MergeSchedules, SourceWithoutStreamMustExecuteAlone)
+{
+    // A null draw stream means "the executor's own stream": sound for
+    // a lone source, refused next to any other enabled source.
+    const device::DeviceModel dev = device::toronto();
+    compiler::clearTranspileCache();
+    PreparedProgram a(workloads::Ghz(6).circuit(), dev, 8192,
+                      JigsawOptions{}, 91);
+    PreparedProgram b(workloads::Ghz(6).circuit(), dev, 8192,
+                      JigsawOptions{}, 92);
+    sim::NoisySimulator shared(dev);
+    const std::uint64_t key = dev.fingerprint();
+    std::vector<core::MergeSource> sources = {
+        {0, &a.jobs, &a.schedule, &a.plan, key, &shared, nullptr},
+    };
+    EXPECT_NO_THROW(core::mergeSchedules(sources));
+    sources.push_back(
+        {1, &b.jobs, &b.schedule, &b.plan, key, &shared, &b.stream});
+    EXPECT_THROW(core::mergeSchedules(sources), std::logic_error);
+    sources[1].enabled = false;
+    EXPECT_NO_THROW(core::mergeSchedules(sources));
+}
+
 TEST(MergeSchedules, IncrementalMergeMatchesBatchMerge)
 {
     // mergeSourceInto folded over the sources — the streaming

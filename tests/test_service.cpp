@@ -8,8 +8,10 @@
  * JIGSAW_THREADS=4 or more to actually exercise the pool).
  */
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -198,8 +200,8 @@ TEST(JigsawService, ConcurrentProgramsMatchSequentialBitwise)
     core::JigsawService service;
     const std::vector<JigsawResult> concurrent = service.run(programs);
     ASSERT_EQ(concurrent.size(), programs.size());
-    EXPECT_EQ(service.stats().programs, programs.size());
-    EXPECT_GT(service.stats().wallMs, 0.0);
+    EXPECT_EQ(service.streamStats().completed, programs.size());
+    EXPECT_GT(service.streamStats().latencyPercentileMs(1.0), 0.0);
 
     for (std::size_t i = 0; i < programs.size(); ++i) {
         expectBitwisePmf(sequential[i].output, concurrent[i].output);
@@ -291,6 +293,131 @@ mergeablePrograms(const device::DeviceModel &dev)
     return programs;
 }
 
+/** Default service options under merge policy @p policy. */
+core::ServiceOptions
+policyOptions(core::MergePolicy policy)
+{
+    core::ServiceOptions options;
+    options.stream.mergePolicy = policy;
+    return options;
+}
+
+TEST(JigsawService, RunIsTheSchedulerPath)
+{
+    // run() is submit + drain on the service's scheduler: the batch
+    // lands in the stream counters, shares one merged window, and
+    // releases every handle so repeated runs retain nothing.
+    const device::DeviceModel dev = device::toronto();
+    const std::vector<ServiceProgram> programs = mergeablePrograms(dev);
+    ASSERT_EQ(programs.size(), 6u);
+    core::JigsawService service(policyOptions(core::MergePolicy::Always));
+    service.run(programs);
+    const core::StreamStats stats = service.streamStats();
+    EXPECT_EQ(stats.completed, 6u);
+    EXPECT_EQ(stats.mergedJobs, 6u);
+    EXPECT_GT(stats.crossProgramGroups, 0u);
+    EXPECT_GT(stats.pooledGlobalBatches, 0u);
+    service.run(programs);
+    EXPECT_EQ(service.streamStats().released, 12u);
+}
+
+TEST(JigsawService, RunMergesItsBatchInOneWindowPerKey)
+{
+    // A batch window closes once the whole batch has joined: neither
+    // windowMs nor windowMaxJobs splits it. Under Always the key is
+    // the device, so the six programs share one window.
+    const device::DeviceModel dev = device::toronto();
+    const std::vector<ServiceProgram> programs = mergeablePrograms(dev);
+    const std::vector<JigsawResult> sequential =
+        core::runProgramsSequentially(programs);
+    core::ServiceOptions options = policyOptions(core::MergePolicy::Always);
+    options.stream.windowMs = 0.0;
+    options.stream.windowMaxJobs = 2;
+    core::JigsawService service(options);
+    const std::vector<JigsawResult> results = service.run(programs);
+    const core::StreamStats stats = service.streamStats();
+    EXPECT_EQ(stats.mergedWindows, 1u);
+    EXPECT_EQ(stats.mergedJobs, programs.size());
+    EXPECT_EQ(stats.loneDispatches, 0u);
+    ASSERT_EQ(results.size(), programs.size());
+    for (std::size_t i = 0; i < programs.size(); ++i)
+        expectBitwisePmf(sequential[i].output, results[i].output);
+}
+
+TEST(JigsawService, RunOutlastsBoundedAdmission)
+{
+    // A batch larger than the admission budget still completes: a
+    // shed submit lets the batch's backlog drain and is admitted on
+    // retry. Normal sheds at a backlog of 2, and a batch window holds
+    // its admitted jobs backlogged until run() closes it, so the
+    // third submit is shed whatever the timing.
+    const device::DeviceModel dev = device::toronto();
+    const std::vector<ServiceProgram> programs = mixedPrograms(dev);
+    const std::vector<JigsawResult> sequential =
+        core::runProgramsSequentially(programs);
+    core::ServiceOptions options = policyOptions(core::MergePolicy::Always);
+    options.stream.maxQueuedJobs = 10;
+    options.stream
+        .shedFractions[static_cast<std::size_t>(core::Priority::Normal)] =
+        0.2;
+    core::JigsawService service(options);
+    const std::vector<JigsawResult> results = service.run(programs);
+    ASSERT_EQ(results.size(), programs.size());
+    EXPECT_GT(service.streamStats().shed, 0u);
+    for (std::size_t i = 0; i < programs.size(); ++i)
+        expectBitwisePmf(sequential[i].output, results[i].output);
+}
+
+TEST(JigsawService, RunWaitsForItsOwnBatchOnly)
+{
+    // run() closes only its own batch's windows and waits only for
+    // its own jobs: a streaming job parked in an open window keeps
+    // that window, streaming submits racing the batch neither join
+    // its windows nor complete with it, and every result still
+    // matches its sequential reference.
+    const device::DeviceModel dev = device::toronto();
+    const std::vector<ServiceProgram> programs = mergeablePrograms(dev);
+    const std::vector<JigsawResult> sequential =
+        core::runProgramsSequentially(programs);
+    core::ServiceOptions options = policyOptions(core::MergePolicy::Always);
+    // Streaming windows close on drain() only (at most 5 jobs join).
+    options.stream.windowMs = 60000.0;
+    core::JigsawService service(options);
+
+    const core::SubmitResult parked = service.submit(programs[0]);
+    ASSERT_TRUE(parked);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (service.poll(parked.handle)->state != core::JobState::Windowed) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::vector<core::JobHandle> streamed;
+    std::thread submitter([&] {
+        for (std::size_t i = 1; i <= 4; ++i)
+            streamed.push_back(service.submit(programs[i]).handle);
+    });
+    const std::vector<JigsawResult> batch = service.run(programs);
+    submitter.join();
+
+    EXPECT_EQ(service.poll(parked.handle)->state,
+              core::JobState::Windowed);
+    const core::StreamStats stats = service.streamStats();
+    EXPECT_EQ(stats.completed, programs.size());
+    EXPECT_EQ(stats.mergedJobs, programs.size());
+    ASSERT_EQ(batch.size(), programs.size());
+    for (std::size_t i = 0; i < programs.size(); ++i)
+        expectBitwisePmf(sequential[i].output, batch[i].output);
+
+    service.drain();
+    expectBitwisePmf(sequential[0].output,
+                     service.wait(parked.handle).output);
+    for (std::size_t i = 0; i < streamed.size(); ++i) {
+        expectBitwisePmf(sequential[i + 1].output,
+                         service.wait(streamed[i]).output);
+    }
+}
+
 TEST(CrossProgramBatching, MergedMatchesSequentialBitwise)
 {
     const device::DeviceModel dev = device::toronto();
@@ -300,24 +427,24 @@ TEST(CrossProgramBatching, MergedMatchesSequentialBitwise)
     const std::vector<JigsawResult> sequential =
         core::runProgramsSequentially(programs);
 
-    core::JigsawService service(
-        core::ServiceOptions{core::MergePolicy::Always});
+    core::JigsawService service(policyOptions(core::MergePolicy::Always));
     const std::vector<JigsawResult> merged = service.run(programs);
     ASSERT_EQ(merged.size(), programs.size());
 
-    // Every program went down the merge path and the duplicated
+    // Every program rode a merged window and the duplicated
     // (circuit, device) pairs produced genuinely shared batches.
-    EXPECT_EQ(service.stats().mergedPrograms, programs.size());
-    EXPECT_GT(service.stats().mergedGroups, 0u);
-    EXPECT_GT(service.stats().crossProgramGroups, 0u);
+    const core::StreamStats stats = service.streamStats();
+    EXPECT_EQ(stats.mergedJobs, programs.size());
+    EXPECT_GT(stats.mergedWindows, 0u);
+    EXPECT_GT(stats.crossProgramGroups, 0u);
     // The duplicated (circuit, device) pairs also pooled their global
     // sampling into multi-program batches (merged-path global
     // batching), without disturbing the bitwise check below.
-    EXPECT_GT(service.stats().pooledGlobalBatches, 0u);
-    EXPECT_GE(service.stats().pooledGlobalPrograms, 2u);
-    EXPECT_EQ(service.stats().latenciesMs.size(), programs.size());
-    EXPECT_GE(service.stats().latencyPercentileMs(0.95),
-              service.stats().latencyPercentileMs(0.5));
+    EXPECT_GT(stats.pooledGlobalBatches, 0u);
+    EXPECT_GE(stats.pooledGlobalPrograms, 2u);
+    EXPECT_EQ(stats.jobsObserved, programs.size());
+    EXPECT_GE(stats.latencyPercentileMs(0.95),
+              stats.latencyPercentileMs(0.5));
 
     for (std::size_t i = 0; i < programs.size(); ++i) {
         expectBitwisePmf(sequential[i].output, merged[i].output);
@@ -335,18 +462,15 @@ TEST(CrossProgramBatching, EveryMergePolicyAgrees)
     const device::DeviceModel dev = device::toronto();
     const std::vector<ServiceProgram> programs = mergeablePrograms(dev);
 
-    core::JigsawService never(
-        core::ServiceOptions{core::MergePolicy::Never});
-    core::JigsawService automatic(
-        core::ServiceOptions{core::MergePolicy::Auto});
-    core::JigsawService always(
-        core::ServiceOptions{core::MergePolicy::Always});
+    core::JigsawService never(policyOptions(core::MergePolicy::Never));
+    core::JigsawService automatic(policyOptions(core::MergePolicy::Auto));
+    core::JigsawService always(policyOptions(core::MergePolicy::Always));
     const std::vector<JigsawResult> a = never.run(programs);
     const std::vector<JigsawResult> b = automatic.run(programs);
     const std::vector<JigsawResult> c = always.run(programs);
 
-    EXPECT_EQ(never.stats().mergedPrograms, 0u);
-    EXPECT_EQ(always.stats().mergedPrograms, programs.size());
+    EXPECT_EQ(never.streamStats().mergedJobs, 0u);
+    EXPECT_EQ(always.streamStats().mergedJobs, programs.size());
     for (std::size_t i = 0; i < programs.size(); ++i) {
         expectBitwisePmf(a[i].output, b[i].output);
         expectBitwisePmf(a[i].output, c[i].output);
@@ -356,8 +480,8 @@ TEST(CrossProgramBatching, EveryMergePolicyAgrees)
 TEST(CrossProgramBatching, CallerSuppliedExecutorStaysUnmerged)
 {
     // A caller-supplied executor cannot be merged; its program runs
-    // as an independent session alongside the merged batch, and both
-    // kinds still match their sequential reference.
+    // alone in an exclusive window alongside the merged batch, and
+    // both kinds still match their sequential reference.
     const device::DeviceModel dev = device::toronto();
     std::vector<ServiceProgram> programs = mergeablePrograms(dev);
     auto executor = std::make_shared<sim::NoisySimulator>(
@@ -368,10 +492,9 @@ TEST(CrossProgramBatching, CallerSuppliedExecutorStaysUnmerged)
     const std::vector<JigsawResult> sequential =
         core::runProgramsSequentially(programs);
 
-    core::JigsawService service(
-        core::ServiceOptions{core::MergePolicy::Always});
+    core::JigsawService service(policyOptions(core::MergePolicy::Always));
     const std::vector<JigsawResult> merged = service.run(programs);
-    EXPECT_EQ(service.stats().mergedPrograms, programs.size() - 1);
+    EXPECT_EQ(service.streamStats().mergedJobs, programs.size() - 1);
     EXPECT_GT(executor->cacheMisses(), 0u);
     for (std::size_t i = 0; i + 1 < programs.size(); ++i)
         expectBitwisePmf(sequential[i].output, merged[i].output);
@@ -439,10 +562,9 @@ TEST(CrossProgramBatching, MergedPathHammersSharedExecutorDeterministically)
                                          : core::JigsawOptions{},
                               500 + 13ULL * static_cast<std::uint64_t>(i));
     }
-    core::JigsawService service(
-        core::ServiceOptions{core::MergePolicy::Always});
+    core::JigsawService service(policyOptions(core::MergePolicy::Always));
     const std::vector<JigsawResult> first = service.run(programs);
-    EXPECT_GT(service.stats().crossProgramGroups, 0u);
+    EXPECT_GT(service.streamStats().crossProgramGroups, 0u);
     const std::vector<JigsawResult> second = service.run(programs);
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); ++i)

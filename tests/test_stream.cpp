@@ -197,8 +197,7 @@ TEST(StreamingScheduler, ConcurrentSubmittersMatchSequentialBitwise)
 TEST(StreamingScheduler, ImmediateDispatchMatchesSequentialBitwise)
 {
     // MergePolicy::Never + windowMs 0 is submit-and-run-immediately:
-    // every job an independent session with a private executor,
-    // exactly today's batch-service legacy path.
+    // every job an exclusive window of one on a private executor.
     const device::DeviceModel dev = device::toronto();
     const std::vector<ServiceProgram> programs = streamPrograms(dev);
     const std::vector<JigsawResult> sequential =
@@ -890,34 +889,11 @@ TEST(StreamingScheduler, GatedAdmissionDoesNotBlockSubmit)
 
 TEST(PercentileGuards, EmptySingleAndDegenerateQ)
 {
-    // Empty: every percentile is 0, including under a NaN q.
-    EXPECT_EQ(core::percentileNearestRank({}, 0.5), 0.0);
-    EXPECT_EQ(core::percentileNearestRank({}, std::nan("")), 0.0);
-
-    // Single sample: every percentile IS the sample.
-    for (double q : {0.0, 0.5, 0.95, 1.0, -3.0, 7.0}) {
-        EXPECT_EQ(core::percentileNearestRank({42.0}, q), 42.0);
-    }
-    EXPECT_EQ(core::percentileNearestRank({42.0}, std::nan("")), 42.0);
-
-    // Small sets: nearest-rank, q clamped into [0, 1].
-    const std::vector<double> two = {10.0, 20.0};
-    EXPECT_EQ(core::percentileNearestRank(two, 0.5), 10.0);
-    EXPECT_EQ(core::percentileNearestRank(two, 0.95), 20.0);
-    EXPECT_EQ(core::percentileNearestRank(two, -1.0), 10.0);
-    EXPECT_EQ(core::percentileNearestRank(two, 2.0), 20.0);
-    EXPECT_EQ(core::percentileNearestRank(two, std::nan("")), 10.0);
-
-    // ServiceStats rides the same guard.
-    core::ServiceStats service_stats;
-    EXPECT_EQ(service_stats.latencyPercentileMs(0.5), 0.0);
-    service_stats.latenciesMs = {7.5};
-    EXPECT_EQ(service_stats.latencyPercentileMs(0.0), 7.5);
-    EXPECT_EQ(service_stats.latencyPercentileMs(0.95), 7.5);
-
-    // StreamStats: empty overall and per-class histogram views.
+    // Empty overall and per-class histogram views: every percentile
+    // is 0, including under a NaN q.
     core::StreamStats stream_stats;
     EXPECT_EQ(stream_stats.latencyPercentileMs(0.5), 0.0);
+    EXPECT_EQ(stream_stats.latencyPercentileMs(std::nan("")), 0.0);
     EXPECT_EQ(stream_stats.latencyPercentileMs(Priority::High, 0.95),
               0.0);
     const std::size_t normal =

@@ -26,6 +26,7 @@
 #include "core/transport.h"
 #include "core/worker.h"
 #include "device/library.h"
+#include "sim/simulators.h"
 #include "workloads/bv.h"
 #include "workloads/ghz.h"
 #include "workloads/qft.h"
@@ -382,6 +383,51 @@ TEST(WorkerTier, WorkerSideWindowFaultStillQuarantinesSolo)
     EXPECT_EQ(stats.quarantinedJobs, 2u);
     EXPECT_EQ(stats.retries, 0u);
     EXPECT_EQ(FaultInjector::instance().injectedAt("merge.execute"), 1u);
+}
+
+// ------------------------------------------ jobs that cannot merge
+
+TEST(WorkerTier, LoneJobsWithoutASharedExecutorStayLocalAndExact)
+{
+    // A job drawing from its own executor's stream — a caller-supplied
+    // executor, or any job under MergePolicy::Never — has no per-job
+    // Rng(executorSeed) stream a worker could rebuild, so its
+    // exclusive window of one executes locally even with a fleet up,
+    // and matches runJigsaw against an identically seeded executor.
+    const device::DeviceModel dev = device::toronto();
+    const std::vector<ServiceProgram> programs =
+        workerPrograms(dev, 9000);
+    const auto seeded = [&dev](std::uint64_t seed) {
+        return std::make_shared<sim::NoisySimulator>(
+            dev, sim::NoisySimulatorOptions{.seed = seed});
+    };
+    const auto reference = [&](const ServiceProgram &program,
+                               std::uint64_t seed) {
+        return core::runJigsaw(program.circuit, dev, *seeded(seed),
+                               program.trials, program.options);
+    };
+
+    StreamOptions options;
+    options.worker.workers = 2;
+    ServiceProgram own_executor = programs[0];
+    own_executor.executor = seeded(77);
+    StreamingScheduler caller(options); // MergePolicy::Auto
+    expectBitwiseResult(
+        reference(programs[0], 77),
+        caller.wait(caller.submit(own_executor).handle));
+
+    options.mergePolicy = core::MergePolicy::Never;
+    StreamingScheduler never(options);
+    expectBitwiseResult(
+        reference(programs[1], programs[1].executorSeed),
+        never.wait(never.submit(programs[1]).handle));
+
+    for (const StreamingScheduler *scheduler : {&caller, &never}) {
+        const core::StreamStats stats = scheduler->stats();
+        EXPECT_EQ(stats.completed, 1u);
+        EXPECT_EQ(stats.loneDispatches, 1u);
+        EXPECT_EQ(stats.leasesGranted, 0u);
+    }
 }
 
 // -------------------------------------------------- fault matrix
