@@ -1,7 +1,5 @@
 #include "workloads/bv.h"
 
-#include "common/error.h"
-
 namespace jigsaw {
 namespace workloads {
 
@@ -30,12 +28,11 @@ buildBv(int n, BasisState hidden)
 } // namespace
 
 BernsteinVazirani::BernsteinVazirani(int n, BasisState hidden_string)
-    : n_(n),
+    : n_(checkedRange(n, 1, 62, "BernsteinVazirani: n out of range")),
       hidden_(hidden_string & ((n >= 64) ? ~0ULL : ((1ULL << n) - 1))),
       circuit_(buildBv(n, hidden_)),
       ideal_(computeIdealPmf(circuit_))
 {
-    fatalIf(n < 1 || n > 62, "BernsteinVazirani: n out of range");
 }
 
 std::string

@@ -1,7 +1,5 @@
 #include "workloads/ghz.h"
 
-#include "common/error.h"
-
 namespace jigsaw {
 namespace workloads {
 
@@ -22,9 +20,9 @@ buildGhz(int n)
 } // namespace
 
 Ghz::Ghz(int n)
-    : n_(n), circuit_(buildGhz(n)), ideal_(computeIdealPmf(circuit_))
+    : n_(checkedRange(n, 2, 24, "Ghz: n out of range")),
+      circuit_(buildGhz(n)), ideal_(computeIdealPmf(circuit_))
 {
-    fatalIf(n < 2 || n > 24, "Ghz: n out of range");
 }
 
 std::string

@@ -1,7 +1,5 @@
 #include "workloads/graycode.h"
 
-#include "common/error.h"
-
 namespace jigsaw {
 namespace workloads {
 
@@ -53,13 +51,12 @@ buildGraycode(int n, BasisState gray)
 } // namespace
 
 Graycode::Graycode(int n)
-    : n_(n),
+    : n_(checkedRange(n, 2, 24, "Graycode: n out of range")),
       gray_(alternatingGray(n)),
       binary_(grayToBinary(gray_, n)),
       circuit_(buildGraycode(n, gray_)),
       ideal_(computeIdealPmf(circuit_))
 {
-    fatalIf(n < 2 || n > 24, "Graycode: n out of range");
 }
 
 std::string

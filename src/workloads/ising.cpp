@@ -1,7 +1,5 @@
 #include "workloads/ising.h"
 
-#include "common/error.h"
-
 namespace jigsaw {
 namespace workloads {
 
@@ -34,13 +32,12 @@ buildIsing(int n, int steps)
 } // namespace
 
 IsingChain::IsingChain(int n, int steps)
-    : n_(n),
+    : n_(checkedRange(n, 2, 20, "IsingChain: n out of range")),
       steps_(steps < 0 ? n : steps),
       circuit_(buildIsing(n, steps_)),
       ideal_(computeIdealPmf(circuit_)),
       mode_(ideal_.mode())
 {
-    fatalIf(n < 2 || n > 20, "IsingChain: n out of range");
 }
 
 std::string

@@ -2,26 +2,43 @@
 
 #include <cmath>
 
-#include "common/error.h"
 #include "common/nelder_mead.h"
+#include "sim/statevector.h"
 
 namespace jigsaw {
 namespace workloads {
 
 namespace {
 
+/** The angle-free prefix of the ansatz: H on every qubit. */
 circuit::QuantumCircuit
-buildQaoa(int n, const std::vector<std::pair<double, double>> &angles)
+hLayer(int n)
 {
     circuit::QuantumCircuit qc(n, n);
     for (int q = 0; q < n; ++q)
         qc.h(q);
+    return qc;
+}
+
+/** Append the p alternating cost/mixer layers at @p angles. */
+void
+appendLayers(circuit::QuantumCircuit &qc,
+             const std::vector<std::pair<double, double>> &angles)
+{
+    const int n = qc.nQubits();
     for (const auto &[gamma, beta] : angles) {
         for (int q = 0; q + 1 < n; ++q)
             qc.rzz(2.0 * gamma, q, q + 1);
         for (int q = 0; q < n; ++q)
             qc.rx(2.0 * beta, q);
     }
+}
+
+circuit::QuantumCircuit
+buildQaoa(int n, const std::vector<std::pair<double, double>> &angles)
+{
+    circuit::QuantumCircuit qc = hLayer(n);
+    appendLayers(qc, angles);
     qc.barrier();
     qc.measureAll();
     return qc;
@@ -55,12 +72,32 @@ optimizeAngles(int n, int p)
         return angles;
     };
 
-    auto objective = [n, &unpack](const std::vector<double> &x) {
-        const circuit::QuantumCircuit qc = buildQaoa(n, unpack(x));
-        const Pmf pmf = computeIdealPmf(qc);
+    // Minus the noiseless expected cut, on a dense state. The file
+    // comment in qaoa.h says why the prefix/tail split, the descending
+    // walk and the floor (StateVector::measurementPmf's default
+    // threshold) must stay as they are.
+    sim::StateVector prefix(n);
+    prefix.applyCircuit(hLayer(n));
+    std::vector<double> cut(std::size_t{1} << n);
+    for (BasisState basis = 0; basis < cut.size(); ++basis)
+        cut[basis] = cutValue(basis, n);
+
+    auto objective = [&](const std::vector<double> &x) {
+        circuit::QuantumCircuit tail(n, n);
+        appendLayers(tail, unpack(x));
+        sim::StateVector state = prefix;
+        state.applyCircuit(tail);
+
+        constexpr double kProbabilityFloor = 1e-14;
+        const double *re = state.reals().data();
+        const double *im = state.imags().data();
         double expected = 0.0;
-        for (const auto &[outcome, prob] : pmf.probabilities())
-            expected += prob * cutValue(outcome, n);
+        for (std::size_t basis = cut.size(); basis-- > 0;) {
+            const double prob =
+                re[basis] * re[basis] + im[basis] * im[basis];
+            if (prob >= kProbabilityFloor)
+                expected += prob * cut[basis];
+        }
         return -expected;
     };
 
@@ -82,14 +119,12 @@ optimizeAngles(int n, int p)
 } // namespace
 
 QaoaMaxCut::QaoaMaxCut(int n, int p)
-    : n_(n),
-      p_(p),
+    : n_(checkedRange(n, 2, 20, "QaoaMaxCut: n out of range")),
+      p_(checkedRange(p, 1, 8, "QaoaMaxCut: p out of range")),
       angles_(optimizeAngles(n, p)),
       circuit_(buildQaoa(n, angles_)),
       ideal_(computeIdealPmf(circuit_))
 {
-    fatalIf(n < 2 || n > 20, "QaoaMaxCut: n out of range");
-    fatalIf(p < 1 || p > 8, "QaoaMaxCut: p out of range");
 }
 
 std::string

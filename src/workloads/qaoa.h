@@ -8,6 +8,21 @@
  * construction, mirroring the classical outer loop of a real QAOA
  * deployment; the workload then runs at fixed optimal angles, which is
  * how the paper evaluates QAOA.
+ *
+ * The fit scores each candidate on a dense state: the H-layer prefix
+ * is evolved once per fit, each objective call copies it and applies
+ * only the angle tail, and the expected cut is summed against a 2^n
+ * cut table. Two details are kept on purpose so the fitted angles and
+ * idealPmf() stay bitwise what simulating the full circuit through
+ * computeIdealPmf() and scoring its Pmf gives: the prefix/tail split is
+ * the one the simulator's split-prefix evolution makes for this shape
+ * (fusion differs across a different split, and so do amplitude bits),
+ * and the sum walks basis states in descending order with the Pmf's
+ * 1e-14 floor, the order in which that Pmf's hash map yields them
+ * (identity hash, buckets reserved before the ascending inserts, so
+ * libstdc++ iterates newest first).
+ * Nelder-Mead follows any last-bit change in an objective value onto a
+ * different path, so either difference would move the angles.
  */
 #ifndef JIGSAW_WORKLOADS_QAOA_H
 #define JIGSAW_WORKLOADS_QAOA_H

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/error.h"
-
 namespace jigsaw {
 namespace workloads {
 
@@ -61,12 +59,11 @@ buildQftAdjoint(int n, BasisState pattern)
 } // namespace
 
 QftAdjoint::QftAdjoint(int n)
-    : n_(n),
+    : n_(checkedRange(n, 2, 20, "QftAdjoint: n out of range")),
       pattern_(alternatingPattern(n)),
       circuit_(buildQftAdjoint(n, pattern_)),
       ideal_(computeIdealPmf(circuit_))
 {
-    fatalIf(n < 2 || n > 20, "QftAdjoint: n out of range");
 }
 
 std::string

@@ -20,6 +20,13 @@ Workload::maxCost() const
     return 0.0;
 }
 
+int
+checkedRange(int value, int lo, int hi, const std::string &message)
+{
+    fatalIf(value < lo || value > hi, message);
+    return value;
+}
+
 Pmf
 computeIdealPmf(const circuit::QuantumCircuit &qc)
 {

@@ -54,6 +54,14 @@ class Workload
     int nMeasured() const { return circuit().countMeasurements(); }
 };
 
+/**
+ * @p value when it lies in [@p lo, @p hi]; throws
+ * std::invalid_argument(@p message) otherwise. Workload constructors
+ * call it in their first member initialiser, so a bad size fails
+ * before any circuit is built or simulated.
+ */
+int checkedRange(int value, int lo, int hi, const std::string &message);
+
 /** Simulate @p qc noiselessly; helper for workload constructors. */
 Pmf computeIdealPmf(const circuit::QuantumCircuit &qc);
 

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/error.h"
-
 namespace jigsaw {
 namespace workloads {
 
@@ -49,9 +47,9 @@ buildWState(int n)
 } // namespace
 
 WState::WState(int n)
-    : n_(n), circuit_(buildWState(n)), ideal_(computeIdealPmf(circuit_))
+    : n_(checkedRange(n, 2, 20, "WState: n out of range")),
+      circuit_(buildWState(n)), ideal_(computeIdealPmf(circuit_))
 {
-    fatalIf(n < 2 || n > 20, "WState: n out of range");
 }
 
 std::string
