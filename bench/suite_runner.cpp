@@ -6,9 +6,7 @@
 #include <iostream>
 
 #include "common/error.h"
-#include "compiler/transpiler.h"
 #include "core/jigsaw.h"
-#include "core/service.h"
 #include "device/library.h"
 #include "mitigation/edm.h"
 #include "perf_json.h"
@@ -165,114 +163,6 @@ writeSuiteTimings(const SuiteRun &run, const std::string &path)
          run.counters.simdEntries())
         count(entry.name, entry.value);
     return report.write(path);
-}
-
-namespace {
-
-/** Exact (bitwise) PMF equality: same support, same stored doubles. */
-bool
-pmfsIdentical(const Pmf &a, const Pmf &b)
-{
-    if (a.nQubits() != b.nQubits() || a.support() != b.support())
-        return false;
-    for (const auto &[outcome, p] : a.probabilities()) {
-        const double q = b.prob(outcome);
-        if (p != q)
-            return false;
-    }
-    return true;
-}
-
-} // namespace
-
-ServiceSuiteRun
-runEvaluationSuiteService(std::uint64_t trials, std::uint64_t seed,
-                          bool qaoa_only, bool quiet,
-                          bool compare_sequential)
-{
-    const std::vector<device::DeviceModel> devices =
-        device::evaluationDevices();
-    const std::vector<std::unique_ptr<workloads::Workload>> workload_set =
-        qaoa_only ? workloads::qaoaBenchmarks()
-                  : workloads::paperBenchmarks();
-
-    // One program per (cell, scheme): the three JigSaw schemes of the
-    // sweep, each with a private deterministically seeded executor.
-    core::JigsawOptions no_recomp;
-    no_recomp.recompileCpms = false;
-    const std::vector<core::JigsawOptions> schemes = {
-        no_recomp, core::JigsawOptions{}, core::jigsawMOptions()};
-
-    std::vector<core::ServiceProgram> programs;
-    for (int d = 0; d < static_cast<int>(devices.size()); ++d) {
-        for (int w = 0; w < static_cast<int>(workload_set.size()); ++w) {
-            const std::uint64_t cell_seed =
-                seed + 1000003ULL * static_cast<std::uint64_t>(d) +
-                10007ULL * static_cast<std::uint64_t>(w);
-            for (std::size_t sc = 0; sc < schemes.size(); ++sc) {
-                programs.emplace_back(
-                    workload_set[static_cast<std::size_t>(w)]->circuit(),
-                    devices[static_cast<std::size_t>(d)], trials,
-                    schemes[sc], cell_seed + 31ULL * sc);
-            }
-        }
-    }
-
-    ServiceSuiteRun run;
-    run.programs = programs.size();
-
-    std::vector<core::JigsawResult> sequential;
-    if (compare_sequential) {
-        compiler::clearTranspileCache();
-        const auto start = std::chrono::steady_clock::now();
-        sequential = core::runProgramsSequentially(programs);
-        run.sequentialMs = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-        if (!quiet) {
-            std::cerr << "  [suite] service mode: " << programs.size()
-                      << " programs sequential in " << run.sequentialMs
-                      << " ms\n";
-        }
-    }
-
-    compiler::clearTranspileCache();
-    core::JigsawService service;
-    const auto start = std::chrono::steady_clock::now();
-    const std::vector<core::JigsawResult> results = service.run(programs);
-    run.serviceMs = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-    const core::StreamStats stats = service.streamStats();
-    run.latencyP50Ms = stats.latencyPercentileMs(0.5);
-    run.latencyP95Ms = stats.latencyPercentileMs(0.95);
-    run.mergedJobs = stats.mergedJobs;
-    run.crossProgramGroups = stats.crossProgramGroups;
-    if (!quiet) {
-        std::cerr << "  [suite] service mode: " << programs.size()
-                  << " programs concurrent in " << run.serviceMs
-                  << " ms (" << run.programsPerSecond()
-                  << " programs/s, latency p50 " << run.latencyP50Ms
-                  << " ms / p95 " << run.latencyP95Ms << " ms, "
-                  << run.mergedJobs << " merged over "
-                  << run.crossProgramGroups
-                  << " cross-program groups)\n";
-    }
-
-    if (compare_sequential) {
-        for (std::size_t i = 0; i < programs.size(); ++i) {
-            if (!pmfsIdentical(sequential[i].output,
-                               results[i].output)) {
-                run.outputsMatch = false;
-                if (!quiet) {
-                    std::cerr << "  [suite] service mismatch on "
-                                 "program "
-                              << i << "\n";
-                }
-            }
-        }
-    }
-    return run;
 }
 
 double

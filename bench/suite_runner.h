@@ -92,53 +92,6 @@ SuiteRun runEvaluationSuite(std::uint64_t trials, std::uint64_t seed,
 /** Write the sweep's scheme timings in the BENCH_perf.json format. */
 bool writeSuiteTimings(const SuiteRun &run, const std::string &path);
 
-/** Outcome of pushing the sweep's JigSaw runs through JigsawService. */
-struct ServiceSuiteRun
-{
-    std::size_t programs = 0;  ///< Programs submitted (cells x schemes).
-    double serviceMs = 0.0;    ///< Wall ms through JigsawService.
-    double sequentialMs = 0.0; ///< Same jobs serially (0 when skipped).
-    double latencyP50Ms = 0.0; ///< Median per-program service latency.
-    double latencyP95Ms = 0.0; ///< Tail per-program service latency.
-    std::size_t mergedJobs = 0; ///< Programs that rode a merged window.
-    std::size_t crossProgramGroups = 0; ///< Merged groups spanning programs.
-    /** Every service PMF bitwise-matched its sequential run. */
-    bool outputsMatch = true;
-
-    /** Sequential / service wall-time ratio (concurrency win). */
-    double speedup() const
-    {
-        return serviceMs > 0.0 && sequentialMs > 0.0
-                   ? sequentialMs / serviceMs
-                   : 0.0;
-    }
-
-    /** Service-mode throughput. */
-    double programsPerSecond() const
-    {
-        return serviceMs > 0.0
-                   ? 1000.0 * static_cast<double>(programs) / serviceMs
-                   : 0.0;
-    }
-};
-
-/**
- * Service-mode path: every JigSaw scheme of the evaluation sweep
- * (JigSaw without recompilation, JigSaw, JigSaw-M, per device x
- * workload cell) becomes one ServiceProgram with its own seeded
- * executor, and the whole batch runs concurrently through
- * core::JigsawService. With @p compare_sequential the same programs
- * first run serially through runJigsaw (transpile cache cleared
- * before each phase so both pay cold compilation) and every output
- * PMF is checked for a bitwise match — the service must be a pure
- * throughput win.
- */
-ServiceSuiteRun runEvaluationSuiteService(std::uint64_t trials,
-                                          std::uint64_t seed,
-                                          bool qaoa_only = false,
-                                          bool quiet = false,
-                                          bool compare_sequential = true);
-
 /** Geometric mean helper that tolerates zero entries by flooring. */
 double geomeanFloored(const std::vector<double> &xs, double floor = 1e-6);
 

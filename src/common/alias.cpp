@@ -77,16 +77,4 @@ AliasTable::build(std::vector<std::pair<BasisState, double>> entries)
     // Leftovers are full bins up to round-off; threshold_ stays 1.
 }
 
-BasisState
-AliasTable::sample(Rng &rng) const
-{
-    fatalIf(outcomes_.empty(), "AliasTable::sample: empty table");
-    const double u = rng.uniform() * static_cast<double>(outcomes_.size());
-    std::size_t bin = static_cast<std::size_t>(u);
-    if (bin >= outcomes_.size())
-        bin = outcomes_.size() - 1;
-    const double frac = u - static_cast<double>(bin);
-    return frac < threshold_[bin] ? outcomes_[bin] : alias_[bin];
-}
-
 } // namespace jigsaw

@@ -3,7 +3,7 @@
  * Walker alias-table sampler over a sparse PMF.
  *
  * Setup is O(support); each draw is O(1) and consumes exactly one
- * uniform from the Rng, so sampling a histogram of T trials is O(T)
+ * word from the Rng, so sampling a histogram of T trials is O(T)
  * after an O(support) build — replacing the per-draw binary search of
  * the old cumulative-distribution sampler. Entries are sorted by
  * outcome at build time so a table built from the same PMF samples the
@@ -12,6 +12,7 @@
 #ifndef JIGSAW_COMMON_ALIAS_H
 #define JIGSAW_COMMON_ALIAS_H
 
+#include <stdexcept>
 #include <vector>
 
 #include "common/bitops.h"
@@ -41,8 +42,24 @@ class AliasTable
     /** Number of entries in the table. */
     std::size_t size() const { return outcomes_.size(); }
 
-    /** Draw one outcome; consumes one uniform from @p rng. */
-    BasisState sample(Rng &rng) const;
+    /**
+     * Draw one outcome from one word of @p rng: its canonical double
+     * scaled by the bin count picks the bin (integer part) and the
+     * side of the bin's threshold (fraction).
+     */
+    BasisState
+    sample(Rng &rng) const
+    {
+        if (outcomes_.empty()) [[unlikely]]
+            throw std::invalid_argument("AliasTable::sample: empty table");
+        const double u = Rng::canonical(rng.word()) *
+                         static_cast<double>(outcomes_.size());
+        std::size_t bin = static_cast<std::size_t>(u);
+        if (bin >= outcomes_.size())
+            bin = outcomes_.size() - 1;
+        const double frac = u - static_cast<double>(bin);
+        return frac < threshold_[bin] ? outcomes_[bin] : alias_[bin];
+    }
 
   private:
     void build(std::vector<std::pair<BasisState, double>> entries);

@@ -13,15 +13,18 @@ MeasurementChannel::MeasurementChannel(
     const std::vector<int> measured = physical_circuit.measuredQubits();
     const int simultaneous = physical_circuit.countMeasurements();
 
-    flip0_.resize(measured.size(), 0.0);
-    flip1_.resize(measured.size(), 0.0);
+    flipProb_.resize(2 * measured.size(), 0.0);
     for (std::size_t c = 0; c < measured.size(); ++c) {
         const int q = measured[c];
         fatalIf(q < 0, "MeasurementChannel: unused classical bit in "
                        "measured circuit");
-        flip0_[c] = cal.effectiveReadoutError(q, simultaneous, 0);
-        flip1_[c] = cal.effectiveReadoutError(q, simultaneous, 1);
+        for (int bit = 0; bit < 2; ++bit)
+            flipProb_[2 * c + static_cast<std::size_t>(bit)] =
+                cal.effectiveReadoutError(q, simultaneous, bit);
     }
+    flip_.reserve(flipProb_.size());
+    for (const double p : flipProb_)
+        flip_.emplace_back(p);
 
     // Correlated flips act on clbit pairs whose physical qubits are
     // coupled and measured together.
@@ -30,28 +33,27 @@ MeasurementChannel::MeasurementChannel(
             if (dev.topology().areCoupled(measured[a], measured[b])) {
                 correlatedPairs_.emplace_back(static_cast<int>(a),
                                               static_cast<int>(b));
+                pairMasks_.push_back((BasisState{1} << a) |
+                                     (BasisState{1} << b));
             }
         }
     }
     correlatedError_ = cal.correlatedPairError();
+    pairFlip_ = Bernoulli(correlatedError_);
 }
 
 BasisState
 MeasurementChannel::apply(BasisState ideal, Rng &rng) const
 {
+    // One word per clbit, then one per coupled pair, in that order
+    // (none where the probability is 0 or 1); each flip is an XOR.
     BasisState out = ideal;
-    for (std::size_t c = 0; c < flip0_.size(); ++c) {
-        const int bit = getBit(ideal, static_cast<int>(c));
-        const double p = bit ? flip1_[c] : flip0_[c];
-        if (rng.bernoulli(p))
-            out = flipBit(out, static_cast<int>(c));
+    for (std::size_t c = 0; c < flip_.size() / 2; ++c) {
+        const Bernoulli &flip = flip_[2 * c + ((ideal >> c) & 1)];
+        out ^= BasisState{flip.draw(rng)} << c;
     }
-    for (const auto &[a, b] : correlatedPairs_) {
-        if (rng.bernoulli(correlatedError_)) {
-            out = flipBit(out, a);
-            out = flipBit(out, b);
-        }
-    }
+    for (const BasisState mask : pairMasks_)
+        out ^= (0 - BasisState{pairFlip_.draw(rng)}) & mask;
     return out;
 }
 
@@ -60,8 +62,7 @@ MeasurementChannel::flipProbability(int c, int bit) const
 {
     fatalIf(c < 0 || c >= nClbits(),
             "MeasurementChannel: clbit out of range");
-    return bit ? flip1_[static_cast<std::size_t>(c)]
-               : flip0_[static_cast<std::size_t>(c)];
+    return flipProb_[2 * static_cast<std::size_t>(c) + (bit ? 1 : 0)];
 }
 
 } // namespace sim

@@ -49,7 +49,7 @@ class MeasurementChannel
     double flipProbability(int c, int bit) const;
 
     /** Number of classical bits covered. */
-    int nClbits() const { return static_cast<int>(flip0_.size()); }
+    int nClbits() const { return static_cast<int>(flipProb_.size() / 2); }
 
     /** Pairs of clbits subject to correlated flips. */
     const std::vector<std::pair<int, int>> &correlatedPairs() const
@@ -61,10 +61,15 @@ class MeasurementChannel
     double correlatedError() const { return correlatedError_; }
 
   private:
-    std::vector<double> flip0_; ///< P(flip | true bit 0), per clbit.
-    std::vector<double> flip1_; ///< P(flip | true bit 1), per clbit.
+    /** P(flip of clbit c | true bit b) at index 2c + b. */
+    std::vector<double> flipProb_;
+    /** flipProb_ as word thresholds, same indexing. */
+    std::vector<Bernoulli> flip_;
     std::vector<std::pair<int, int>> correlatedPairs_;
+    /** Both bits of each correlated pair, in correlatedPairs_ order. */
+    std::vector<BasisState> pairMasks_;
     double correlatedError_ = 0.0;
+    Bernoulli pairFlip_;
 };
 
 } // namespace sim

@@ -499,7 +499,8 @@ IdealSimulator::runBatch(const QuantumCircuit &base_circuit,
 
 NoisySimulator::NoisySimulator(device::DeviceModel dev,
                                NoisySimulatorOptions options)
-    : dev_(std::move(dev)), options_(options), rng_(options.seed)
+    : dev_(std::move(dev)), options_(options),
+      gateFailureFlip_(options.gateNoiseBitFlip), rng_(options.seed)
 {
 }
 
@@ -578,8 +579,8 @@ NoisySimulator::evolved(const QuantumCircuit &physical)
         physical,
         {&splitCache_, &cacheMutex_, &skeletonHits_, &skeletonMisses_});
     AliasTable sampler(pmf);
-    const double gate_ok =
-        options_.gateNoise ? gateSuccessProbability(physical, dev_) : 1.0;
+    const Bernoulli gate_ok(
+        options_.gateNoise ? gateSuccessProbability(physical, dev_) : 1.0);
     auto channel = std::make_unique<MeasurementChannel>(physical, dev_);
     std::lock_guard<std::mutex> lock(cacheMutex_);
     return cache_
@@ -594,18 +595,15 @@ NoisySimulator::sampleChannel(const Cached &entry, int n_clbits,
 {
     const AliasTable &sampler = entry.sampler;
     const MeasurementChannel &channel = *entry.channel;
-    const double gate_ok = entry.gateOk;
 
     Histogram hist(n_clbits);
     for (std::uint64_t t = 0; t < shots; ++t) {
         BasisState outcome = sampler.sample(rng);
-        if (!rng.bernoulli(gate_ok)) {
+        if (!entry.gateOk.draw(rng)) {
             // Gate failure: corrupt the sampled outcome with
             // independent bit flips (localized depolarizing).
-            for (int c = 0; c < n_clbits; ++c) {
-                if (rng.bernoulli(options_.gateNoiseBitFlip))
-                    outcome = flipBit(outcome, c);
-            }
+            for (int c = 0; c < n_clbits; ++c)
+                outcome ^= BasisState{gateFailureFlip_.draw(rng)} << c;
         }
         if (options_.measurementNoise)
             outcome = channel.apply(outcome, rng);
@@ -677,8 +675,8 @@ NoisySimulator::cpmEntry(const QuantumCircuit &base_circuit,
     // measurements, so the CPM inherits the base circuit's value
     // exactly; the readout channel is genuinely per-subset.
     const QuantumCircuit cpm = base_circuit.withMeasurementSubset(qubits);
-    const double gate_ok =
-        options_.gateNoise ? gateSuccessProbability(cpm, dev_) : 1.0;
+    const Bernoulli gate_ok(
+        options_.gateNoise ? gateSuccessProbability(cpm, dev_) : 1.0);
     auto channel = std::make_unique<MeasurementChannel>(cpm, dev_);
     std::lock_guard<std::mutex> lock(cacheMutex_);
     return cache_

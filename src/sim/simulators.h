@@ -418,7 +418,8 @@ class NoisySimulator : public Executor
     {
         Pmf pmf;
         AliasTable sampler;
-        double gateOk = 1.0;
+        /// Gate-success trial (always true when gate noise is off).
+        Bernoulli gateOk{1.0};
         std::unique_ptr<MeasurementChannel> channel;
     };
 
@@ -434,6 +435,7 @@ class NoisySimulator : public Executor
 
     device::DeviceModel dev_;
     NoisySimulatorOptions options_;
+    Bernoulli gateFailureFlip_; ///< options_.gateNoiseBitFlip as a trial.
     Rng rng_;
     std::mutex rngMutex_;   ///< Serializes draws from rng_.
     std::mutex cacheMutex_; ///< Guards cache_, stateCache_,

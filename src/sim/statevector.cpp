@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/error.h"
 #include "common/parallel.h"
@@ -27,6 +26,27 @@ using Amp = StateVector::Amplitude;
  */
 constexpr std::size_t kGrain = 1ULL << 14;
 
+/**
+ * Cap on the qubits one fused phase table may span: both the CP/CZ
+ * common-qubit runs (control count) and the general diagonal runs
+ * (involved-qubit count). The table holds 2^12 complex entries, 64 KiB
+ * as two component arrays, so it stays L2-resident.
+ */
+constexpr int kPhaseTableMaxQubits = 12;
+
+/** Cap on the gates composed into one diagonal-run table build
+ *  (bounds the build cost, which is serial). */
+constexpr std::size_t kMaxFusedDiagGates = 64;
+
+/**
+ * Fuse a general diagonal run only when the unfused sweeps it
+ * replaces cost more than this many full-register passes (RZZ counts
+ * 1.0, CP/CZ 0.25) and it holds at least kDiagFuseMinTwoQubit
+ * two-qubit diagonals.
+ */
+constexpr double kDiagFuseCostThreshold = 1.0;
+constexpr std::size_t kDiagFuseMinTwoQubit = 2;
+
 inline bool
 isZero(const Amp &a)
 {
@@ -40,23 +60,6 @@ isOne(const Amp &a)
 }
 
 } // namespace
-
-const SimOptions &
-simOptions()
-{
-    static const SimOptions opts = [] {
-        SimOptions o;
-        if (const char *s = std::getenv("JIGSAW_PHASE_TABLE_MAX_QUBITS")) {
-            char *end = nullptr;
-            const long v = std::strtol(s, &end, 10);
-            if (end != s && *end == '\0')
-                o.phaseTableMaxQubits = static_cast<int>(
-                    std::clamp(v, 1L, 24L));
-        }
-        return o;
-    }();
-    return opts;
-}
 
 void
 gateMatrix1q(const Gate &gate, Amp m[2][2])
@@ -368,13 +371,6 @@ StateVector::applyGate(const Gate &gate)
 void
 StateVector::applyCircuit(const circuit::QuantumCircuit &qc)
 {
-    applyCircuit(qc, simOptions());
-}
-
-void
-StateVector::applyCircuit(const circuit::QuantumCircuit &qc,
-                          const SimOptions &options)
-{
     fatalIf(qc.nQubits() != nQubits_,
             "StateVector: circuit qubit count mismatch");
 
@@ -403,8 +399,6 @@ StateVector::applyCircuit(const circuit::QuantumCircuit &qc,
     // (applyControlledPhaseRun). Runs longer than the cap (each gate
     // past the first adds one control qubit to the table) are split
     // so the phase table stays cache-resident.
-    const std::size_t kMaxFusedPhases =
-        static_cast<std::size_t>(options.phaseTableMaxQubits);
     const auto isPhaseGate = [](const Gate &g) {
         return g.type == GateType::CP || g.type == GateType::CZ;
     };
@@ -419,8 +413,6 @@ StateVector::applyCircuit(const circuit::QuantumCircuit &qc,
     // phase table over the involved qubits, applied in a single
     // full-register pass (applyDiagonalRun). The qubit cap keeps the
     // table cache-resident; the gate cap bounds the table build.
-    const int kMaxFusedDiagQubits = options.phaseTableMaxQubits;
-    const std::size_t kMaxFusedDiagGates = options.maxFusedDiagGates;
     const auto isDiag1q = [](const Gate &g) {
         switch (g.type) {
           case GateType::Z:
@@ -471,7 +463,9 @@ StateVector::applyCircuit(const circuit::QuantumCircuit &qc,
             int cand1 = g.qubits[1];
             std::vector<std::size_t> run = {gi};
             std::size_t gj = gi + 1;
-            for (; gj < gs.size() && run.size() < kMaxFusedPhases; ++gj) {
+            for (; gj < gs.size() &&
+                   run.size() < std::size_t{kPhaseTableMaxQubits};
+                 ++gj) {
                 const Gate &h = gs[gj];
                 if (h.type == GateType::BARRIER)
                     continue;
@@ -531,7 +525,7 @@ StateVector::applyCircuit(const circuit::QuantumCircuit &qc,
                 for (int q : h.qubits)
                     hmask |= 1ULL << q;
                 const int new_bits = std::popcount(hmask & ~mask);
-                if (n_bits + new_bits > kMaxFusedDiagQubits)
+                if (n_bits + new_bits > kPhaseTableMaxQubits)
                     break;
                 mask |= hmask;
                 n_bits += new_bits;
@@ -548,8 +542,8 @@ StateVector::applyCircuit(const circuit::QuantumCircuit &qc,
             }
             // Fuse when one full-register pass beats the unfused
             // sweeps it replaces.
-            if (n_two_qubit >= options.diagFuseMinTwoQubit &&
-                unfused_cost > options.diagFuseCostThreshold) {
+            if (n_two_qubit >= kDiagFuseMinTwoQubit &&
+                unfused_cost > kDiagFuseCostThreshold) {
                 const std::size_t tsize = 1ULL << n_bits;
                 std::vector<double> tab_re(tsize, 1.0);
                 std::vector<double> tab_im(tsize, 0.0);

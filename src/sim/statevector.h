@@ -35,47 +35,6 @@ namespace jigsaw {
 namespace sim {
 
 /**
- * Tunables for applyCircuit's gate-fusion decisions. The defaults
- * reproduce the historical constants; simOptions() layers environment
- * overrides on top once per process. Tests and benches construct
- * their own to probe a specific fusion shape.
- */
-struct SimOptions
-{
-    /**
-     * Cap on the qubits one fused phase table may span — both the
-     * CP/CZ common-qubit runs (control count) and the general
-     * diagonal runs (involved-qubit count). The table holds 2^cap
-     * complex entries, so this is the cache-residency knob: 12 keeps
-     * the table at 64 KiB (two 32 KiB component arrays), L2-resident
-     * on everything we target. Environment override:
-     * JIGSAW_PHASE_TABLE_MAX_QUBITS (clamped to [1, 24]).
-     */
-    int phaseTableMaxQubits = 12;
-
-    /** Cap on the gates composed into one diagonal-run table build
-     *  (bounds the build cost, which is serial). */
-    std::size_t maxFusedDiagGates = 64;
-
-    /**
-     * Fuse a general diagonal run only when the unfused sweeps it
-     * replaces cost more than this many full-register passes (RZZ
-     * counts 1.0, CP/CZ 0.25). Raising it biases toward the cheaper
-     * specialized kernels; 0 fuses every eligible run.
-     */
-    double diagFuseCostThreshold = 1.0;
-
-    /** Minimum two-qubit diagonals in a run before fusing pays. */
-    std::size_t diagFuseMinTwoQubit = 2;
-};
-
-/**
- * Process-wide simulation options: the defaults above with
- * environment overrides applied, resolved once at first use.
- */
-const SimOptions &simOptions();
-
-/**
  * The quantum state of an n-qubit register, initialized to |0...0>.
  */
 class StateVector
@@ -93,12 +52,8 @@ class StateVector
     void applyGate(const circuit::Gate &gate);
 
     /** Apply every unitary gate of @p qc in order (measures skipped),
-     *  fusing runs per the process-wide simOptions(). */
+     *  fusing runs of gates (see the file comment). */
     void applyCircuit(const circuit::QuantumCircuit &qc);
-
-    /** As above with explicit fusion tunables. */
-    void applyCircuit(const circuit::QuantumCircuit &qc,
-                      const SimOptions &options);
 
     /** Amplitude of basis state @p basis. */
     Amplitude amplitude(BasisState basis) const;

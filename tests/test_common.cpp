@@ -4,6 +4,8 @@
  * distance measures, table printer, and the Nelder-Mead optimizer.
  */
 #include <cmath>
+#include <limits>
+#include <random>
 #include <set>
 #include <sstream>
 
@@ -15,6 +17,7 @@
 #include "common/rng.h"
 #include "common/statistics.h"
 #include "common/table.h"
+#include "device/library.h"
 
 namespace jigsaw {
 namespace {
@@ -156,6 +159,162 @@ TEST(Rng, LogNormalMedian)
     for (int i = 0; i < 20000; ++i)
         xs.push_back(rng.logNormal(std::log(0.03), 1.0));
     EXPECT_NEAR(stats::median(xs), 0.03, 0.003);
+}
+
+/** Seeds the engine must match std::mt19937_64 on, 2^64 - 1 included. */
+const std::uint64_t kEngineSeeds[] = {0, 1, 42, ~std::uint64_t(0)};
+
+/** 1400 words: four full twists of the 312-word state and then some. */
+constexpr int kWordsPastFourTwists = 1400;
+
+TEST(Rng, WordsMatchStdMt19937_64)
+{
+    for (const std::uint64_t seed : kEngineSeeds) {
+        Rng rng(seed);
+        std::mt19937_64 reference(seed);
+        for (int i = 0; i < kWordsPastFourTwists; ++i)
+            ASSERT_EQ(rng.word(), reference()) << "seed " << seed;
+
+        // A copy continues the stream from the same state...
+        Rng copy = rng;
+        std::mt19937_64 reference_copy = reference;
+        for (int i = 0; i < kWordsPastFourTwists; ++i) {
+            ASSERT_EQ(copy.word(), reference_copy()) << "seed " << seed;
+            ASSERT_EQ(rng.word(), reference()) << "seed " << seed;
+        }
+        // ...and a fork seeds a child from one word of the parent.
+        Rng child = rng.fork();
+        std::mt19937_64 reference_child(reference() ^ 0x9e3779b97f4a7c15ULL);
+        for (int i = 0; i < kWordsPastFourTwists; ++i)
+            ASSERT_EQ(child.word(), reference_child()) << "seed " << seed;
+        ASSERT_EQ(rng.word(), reference()) << "seed " << seed;
+    }
+}
+
+TEST(Rng, DistributionsMatchStdOverStdEngine)
+{
+    for (const std::uint64_t seed : kEngineSeeds) {
+        Rng rng(seed);
+        std::mt19937_64 e(seed);
+        for (int i = 0; i < 2000; ++i) {
+            ASSERT_EQ(rng.uniform(),
+                      std::uniform_real_distribution<double>(0.0, 1.0)(e));
+            ASSERT_EQ(rng.uniform(-2.5, 7.0),
+                      std::uniform_real_distribution<double>(-2.5, 7.0)(e));
+            ASSERT_EQ(rng.uniformInt(-5, 1000),
+                      std::uniform_int_distribution<std::int64_t>(-5,
+                                                                  1000)(e));
+            ASSERT_EQ(rng.normal(0.3, 2.0),
+                      std::normal_distribution<double>(0.3, 2.0)(e));
+            ASSERT_EQ(rng.logNormal(-3.5, 0.8),
+                      std::lognormal_distribution<double>(-3.5, 0.8)(e));
+        }
+    }
+}
+
+/** A generator that returns one fixed word, to probe edge words. */
+struct FixedWord
+{
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type(0); }
+    result_type operator()() { return word; }
+    std::uint64_t word;
+};
+
+TEST(Rng, CanonicalIsGenerateCanonical)
+{
+    const std::uint64_t max = ~std::uint64_t(0);
+    const std::uint64_t words[] = {0,
+                                   1,
+                                   (std::uint64_t{1} << 53) + 1,
+                                   (std::uint64_t{1} << 63) + 1025,
+                                   max - 3072,
+                                   max - 1024,
+                                   max - 1023,
+                                   max,
+                                   0x9e3779b97f4a7c15ULL};
+    for (const std::uint64_t w : words) {
+        FixedWord g{w};
+        EXPECT_EQ(Rng::canonical(w),
+                  (std::generate_canonical<double, 53>(g)))
+            << "word " << w;
+    }
+    EXPECT_LT(Rng::canonical(max), 1.0);
+}
+
+/**
+ * The probabilities the threshold identity is checked on: the
+ * extremes of (0, 1), denormals, the gate-failure flip rates, and
+ * every readout error of every library device, raw and with crosstalk.
+ */
+std::vector<double>
+thresholdGrid()
+{
+    std::vector<double> grid = {std::ldexp(1.0, -60),
+                                std::numeric_limits<double>::denorm_min(),
+                                1e-310,
+                                0.15,
+                                0.5,
+                                1.0 - std::ldexp(1.0, -53)};
+    for (const device::DeviceModel &dev :
+         {device::toronto(), device::paris(), device::manhattan(),
+          device::sycamore()}) {
+        const device::Calibration &cal = dev.calibration();
+        for (int q = 0; q < cal.nQubits(); ++q) {
+            grid.push_back(cal.qubit(q).readoutError01);
+            grid.push_back(cal.qubit(q).readoutError10);
+            for (const int simultaneous : {2, 5, cal.nQubits()}) {
+                for (int bit = 0; bit < 2; ++bit)
+                    grid.push_back(
+                        cal.effectiveReadoutError(q, simultaneous, bit));
+            }
+        }
+        grid.push_back(cal.correlatedPairError());
+    }
+    return grid;
+}
+
+TEST(Bernoulli, ThresholdEqualsUniformBelowP)
+{
+    const std::uint64_t max = ~std::uint64_t(0);
+    for (const double p : thresholdGrid()) {
+        ASSERT_GT(p, 0.0);
+        ASSERT_LT(p, 1.0);
+        const Bernoulli trial(p);
+        ASSERT_TRUE(trial.drawsWord()) << p;
+        const std::uint64_t t = trial.threshold();
+        for (const std::uint64_t w : {std::uint64_t{0}, t - 1, t, t + 1, max})
+            EXPECT_EQ(w < t, Rng::canonical(w) < p)
+                << "p " << p << " word " << w;
+        // t is the boundary: canonical crosses p exactly there.
+        EXPECT_LT(Rng::canonical(t - 1), p) << p;
+        EXPECT_GE(Rng::canonical(t), p) << p;
+    }
+}
+
+TEST(Bernoulli, DrawMatchesBernoulliWordForWord)
+{
+    for (const double p : {0.0, -1.0, 1e-3, 0.15, 0.5, 0.97, 1.0, 2.0}) {
+        Rng a(17), b(17);
+        const Bernoulli trial(p);
+        for (int i = 0; i < 5000; ++i)
+            ASSERT_EQ(trial.draw(a), b.bernoulli(p)) << p;
+        // Same number of words consumed: the streams stay aligned.
+        EXPECT_EQ(a.word(), b.word()) << p;
+    }
+}
+
+TEST(Bernoulli, CertainOutcomesDrawNoWord)
+{
+    for (const double p : {0.0, -0.5, 1.0, 3.0}) {
+        const Bernoulli trial(p);
+        EXPECT_FALSE(trial.drawsWord());
+        Rng a(23), b(23);
+        EXPECT_EQ(trial.draw(a), p >= 1.0);
+        EXPECT_EQ(a.word(), b.word()) << p;
+    }
+    EXPECT_THROW(Bernoulli(std::nan("")), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- statistics

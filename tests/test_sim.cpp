@@ -6,6 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <string>
+
+#include "common/alias.h"
+#include "common/fnv.h"
 #include "device/library.h"
 #include "sim/compact.h"
 #include "sim/eps.h"
@@ -201,6 +207,35 @@ TEST(MeasurementChannel, CorrelatedPairsOnCoupledQubits)
     }
 }
 
+TEST(MeasurementChannel, CertainFlipsConsumeNoWords)
+{
+    // Readout errors are clamped to [0, 0.5], so 0 is the certain
+    // readout case; a correlated-pair error of 1 always flips.
+    for (const double pair_error : {0.0, 1.0}) {
+        device::Topology topo = device::linearTopology(3);
+        device::Calibration cal(3, 2);
+        for (int q = 0; q < 3; ++q) {
+            cal.qubit(q).readoutError01 = 0.0;
+            cal.qubit(q).readoutError10 = 0.0;
+            cal.qubit(q).crosstalkGamma = 0.0;
+        }
+        cal.setCorrelatedPairError(pair_error);
+        const DeviceModel dev("certain", std::move(topo), std::move(cal));
+        QuantumCircuit qc(3, 3);
+        qc.x(1).measureAll();
+        const MeasurementChannel channel(qc, dev);
+
+        Rng rng(43), untouched(43);
+        for (BasisState ideal = 0; ideal < 8; ++ideal) {
+            // Pairs (0,1) and (1,2) both flip: bits 0 and 2 toggle.
+            const BasisState expected =
+                pair_error == 1.0 ? ideal ^ 0b101 : ideal;
+            EXPECT_EQ(channel.apply(ideal, rng), expected);
+        }
+        EXPECT_EQ(rng.word(), untouched.word()) << pair_error;
+    }
+}
+
 TEST(IdealSimulator, ExactBellPmf)
 {
     IdealSimulator ideal;
@@ -337,6 +372,180 @@ TEST(NoisySimulator, DeterministicWithSameSeed)
     const Histogram hb = b.run(qc, 5000);
     for (const auto &[outcome, count] : ha.counts())
         EXPECT_EQ(count, hb.count(outcome));
+}
+
+/**
+ * FNV-1a over @p hist in its map iteration order: pins the counts and
+ * the insertion history that fixes the hash-map layout.
+ */
+std::uint64_t
+iterationHash(const Histogram &hist)
+{
+    std::uint64_t h = kFnvOffsetBasis;
+    for (const auto &[outcome, count] : hist.counts()) {
+        fnvMixWord(h, outcome);
+        fnvMixWord(h, count);
+    }
+    fnvMixWord(h, hist.totalCount());
+    return h;
+}
+
+/**
+ * X layers and CX on the coupled pairs among physical qubits
+ * [0, @p k), measured into clbits 0..k-1. Every gate permutes basis
+ * states, so the ideal PMF is a single outcome of probability exactly
+ * 1 on every kernel table and only the sampler decides the histogram.
+ */
+QuantumCircuit
+permutationCircuit(const DeviceModel &dev, int k)
+{
+    QuantumCircuit qc(dev.nQubits(), k);
+    for (int layer = 0; layer < 3; ++layer) {
+        for (int q = layer % 2; q < k; q += 2)
+            qc.x(q);
+    }
+    for (const auto &[a, b] : dev.topology().edges()) {
+        if (a < k && b < k)
+            qc.cx(a, b);
+    }
+    for (int q = 0; q < k; ++q)
+        qc.measure(q, q);
+    return qc;
+}
+
+/** Named histogram hashes of the seeded noisy stream on @p dev. */
+std::map<std::string, std::uint64_t>
+noisyStreamHashes(const DeviceModel &dev)
+{
+    std::map<std::string, std::uint64_t> out;
+    const QuantumCircuit six = permutationCircuit(dev, 6);
+    const QuantumCircuit twelve = permutationCircuit(dev, 12);
+
+    // Gate and readout noise on; 2^6 outcomes against 3000 shots and
+    // 2^12 against 500 shots cover both ends of the shot counter.
+    NoisySimulator noisy(dev, {.seed = 77});
+    out["gate_on/6x3000"] = iterationHash(noisy.run(six, 3000));
+    out["gate_on/12x500"] = iterationHash(noisy.run(twelve, 500));
+    Rng external(78);
+    out["gate_on/external"] =
+        iterationHash(noisy.run(twelve, 2000, external));
+    std::vector<CpmSpec> specs(3);
+    specs[0] = {{0, 1, 2, 3}, 1500, nullptr, -1};
+    specs[1] = {{4, 5, 6, 7, 8, 9, 10, 11}, 700, &external, -1};
+    specs[2] = {{11, 2, 7}, 900, nullptr, -1};
+    const std::vector<Histogram> batch = noisy.runBatch(twelve, specs);
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        out["gate_on/batch" + std::to_string(i)] = iterationHash(batch[i]);
+
+    NoisySimulator readout_only(dev, {.seed = 79, .gateNoise = false});
+    out["gate_off/6x3000"] = iterationHash(readout_only.run(six, 3000));
+    out["gate_off/12x6000"] = iterationHash(readout_only.run(twelve, 6000));
+
+    NoisySimulator half_flip(dev, {.seed = 80, .gateNoiseBitFlip = 0.5});
+    out["flip_0.5/12x5000"] = iterationHash(half_flip.run(twelve, 5000));
+    out["flip_0.5/6x100"] = iterationHash(half_flip.run(six, 100));
+
+    NoisySimulator trajectories(dev, {.seed = 81, .trajectories = 3});
+    out["trajectory/6x600"] = iterationHash(trajectories.run(six, 600));
+    return out;
+}
+
+/**
+ * The seeded noisy stream is pinned across commits, not only between
+ * two paths of one build: a sampler change that moves one draw or
+ * reorders one histogram insert fails here. The goldens were recorded
+ * with the std::mt19937_64 engine and per-draw
+ * uniform_real_distribution Bernoulli draws the sampler used before
+ * the threshold form.
+ */
+TEST(SamplingStream, NoisyHistogramsPinnedOnEvaluationDevices)
+{
+    const std::map<std::string, std::map<std::string, std::uint64_t>>
+        golden = {
+        {"ibmq-toronto", {
+            {"flip_0.5/12x5000", 0xaabeedf66fd9cbfdULL},
+            {"flip_0.5/6x100", 0xb7d312a8d8cf0565ULL},
+            {"gate_off/12x6000", 0x3d19f0bbbbb71706ULL},
+            {"gate_off/6x3000", 0x46cbd5bae90ab3aaULL},
+            {"gate_on/12x500", 0xf821d30bb184a14aULL},
+            {"gate_on/6x3000", 0x497e6e567157f8e6ULL},
+            {"gate_on/batch0", 0x240480baec34f06aULL},
+            {"gate_on/batch1", 0x53749d15dd762993ULL},
+            {"gate_on/batch2", 0x6325537252a44e64ULL},
+            {"gate_on/external", 0x3d20df604883775fULL},
+            {"trajectory/6x600", 0x56f221952a982aa4ULL},
+        }},
+        {"ibmq-paris", {
+            {"flip_0.5/12x5000", 0x46e8d8ffda54635cULL},
+            {"flip_0.5/6x100", 0x29310809e5f3d910ULL},
+            {"gate_off/12x6000", 0xa5a6bf28b1cbc0b0ULL},
+            {"gate_off/6x3000", 0x0182a5066dd66950ULL},
+            {"gate_on/12x500", 0x37d4519f68be8af0ULL},
+            {"gate_on/6x3000", 0xf9449b829a7f89a4ULL},
+            {"gate_on/batch0", 0x15ce99ee0095437cULL},
+            {"gate_on/batch1", 0xeca538b0b6d5a08bULL},
+            {"gate_on/batch2", 0x360fae2dbacdd438ULL},
+            {"gate_on/external", 0xb0a3b08ad2ff2e35ULL},
+            {"trajectory/6x600", 0x5838a43d8b7abbdbULL},
+        }},
+        {"ibmq-manhattan", {
+            {"flip_0.5/12x5000", 0x2221d903bb1f9151ULL},
+            {"flip_0.5/6x100", 0x4209666effba44abULL},
+            {"gate_off/12x6000", 0xa2ef2ff2e0954d65ULL},
+            {"gate_off/6x3000", 0x73e154fb3ced3b2dULL},
+            {"gate_on/12x500", 0x7020af102005edaeULL},
+            {"gate_on/6x3000", 0xdcf9f624b212d74eULL},
+            {"gate_on/batch0", 0x7b3fd601079d081cULL},
+            {"gate_on/batch1", 0x689f66d55ce2b85cULL},
+            {"gate_on/batch2", 0x3c83c0df94eb6aa7ULL},
+            {"gate_on/external", 0x9d01c4458401ebd3ULL},
+            {"trajectory/6x600", 0xf6c6eebbd3d0dabdULL},
+        }},
+        };
+    bool all_match = true;
+    for (const DeviceModel &dev : device::evaluationDevices()) {
+        const auto hashes = noisyStreamHashes(dev);
+        const auto it = golden.find(dev.name());
+        for (const auto &[name, hash] : hashes) {
+            const bool match = it != golden.end() &&
+                               it->second.count(name) != 0 &&
+                               it->second.at(name) == hash;
+            all_match = all_match && match;
+            EXPECT_TRUE(match) << dev.name() << " " << name;
+        }
+        if (!all_match) {
+            std::printf("        {\"%s\", {\n", dev.name().c_str());
+            for (const auto &[name, hash] : hashes)
+                std::printf("            {\"%s\", 0x%016llxULL},\n",
+                            name.c_str(),
+                            static_cast<unsigned long long>(hash));
+            std::printf("        }},\n");
+        }
+    }
+}
+
+TEST(SamplingStream, AliasAndPmfSamplersPinned)
+{
+    const AliasTable table({{3, 1.0}, {9, 2.0}, {17, 0.5}, {4, 4.5},
+                            {30, 0.25}});
+    Rng rng(82);
+    std::uint64_t alias_hash = kFnvOffsetBasis;
+    for (int i = 0; i < 5000; ++i)
+        fnvMixWord(alias_hash, table.sample(rng));
+
+    Pmf pmf(5);
+    pmf.set(0b00000, 0.5);
+    pmf.set(0b10101, 0.25);
+    pmf.set(0b01010, 0.125);
+    pmf.set(0b11111, 0.0625);
+    pmf.set(0b00111, 0.0625);
+    const std::uint64_t dense_hash =
+        iterationHash(pmf.sampleHistogram(4000, rng));
+    const std::uint64_t sparse_hash =
+        iterationHash(pmf.sampleHistogram(3, rng));
+    EXPECT_EQ(alias_hash, 0x6ad7b853386536c3ULL);
+    EXPECT_EQ(dense_hash, 0xcbd21bacc64aca8dULL);
+    EXPECT_EQ(sparse_hash, 0x7cfa98a66eaed776ULL);
 }
 
 } // namespace
